@@ -2,6 +2,8 @@
 with its Brownian-bridge limit law, signal generators, asymptotic drift and
 variance formulas, and a Monte Carlo size/power harness."""
 
+import importlib
+
 from meanbreak.core import (
     CusumPath,
     DegenerateSeriesError,
@@ -20,26 +22,32 @@ from meanbreak.dist import (
     bridge_sup_quantile,
     p_value,
 )
-from meanbreak.montecarlo import (
-    ExperimentConfig,
-    RejectionTable,
-    emit_table,
-    preset,
-    run_experiment,
-)
-from meanbreak.signals import (
-    MeanSpec,
-    SigmaSpec,
-    TransitionSpec,
-    ergodic_variance_limit,
-    gaussian_stream,
-    generate_series,
-    mean_path,
-    sigma_path,
-    transition,
-)
 
 __version__ = "0.1.0"
+
+# Names from modules that import scipy, loaded on first access (PEP 562), so
+# that `import meanbreak.cli` and the `test`, `pvalue` and `quantile` commands
+# load numpy only.
+_LAZY = {
+    **dict.fromkeys(
+        ("ExperimentConfig", "RejectionTable", "emit_table", "preset", "run_experiment"),
+        "montecarlo",
+    ),
+    **dict.fromkeys(
+        ("MeanSpec", "SigmaSpec", "TransitionSpec", "ergodic_variance_limit",
+         "gaussian_stream", "generate_series", "mean_path", "sigma_path", "transition"),
+        "signals",
+    ),
+}
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"meanbreak.{_LAZY[name]}"), name)
+    globals()[name] = value
+    return value
+
 
 __all__ = [
     "BridgeSupLaw",

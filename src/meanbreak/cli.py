@@ -9,14 +9,17 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
+import functools
+import itertools
 import json
+import math
 import os
 import sys
+import warnings
 
 import numpy as np
 
-from meanbreak import core, dist, montecarlo
+from meanbreak import core, dist
 
 __all__ = ["main"]
 
@@ -25,34 +28,23 @@ EXIT_USAGE = 2
 EXIT_DATA = 3
 
 PVALUE_FLOOR = 1e-12
+BLOCK_CHARS = 1 << 20  # characters of a data file converted per bulk call
 
 
 class DataError(Exception):
     """A problem with user-supplied data (unreadable, unparsable, degenerate)."""
 
 
-def _parse_rows(text: str) -> list[list[str]]:
-    rows = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        if "," in line:
-            rows.extend(csv.reader(io.StringIO(line)))
-        else:
-            rows.append(line.split())
-    return rows
-
-
 def _column_index(selector: str, header: list[str]) -> int:
     try:
-        return int(selector)
+        index = int(selector)
     except ValueError:
-        pass
-    try:
+        if selector not in header:
+            raise DataError(f"column {selector!r} not found in header {header}") from None
         return header.index(selector)
-    except ValueError:
-        raise DataError(f"column {selector!r} not found in header {header}") from None
+    if index < 0:
+        raise ValueError(f"column index must be nonnegative, got {index}")
+    return index
 
 
 def _is_float(cell: str) -> bool:
@@ -63,43 +55,128 @@ def _is_float(cell: str) -> bool:
         return False
 
 
+def _rows_report(what: str, rows: list[int]) -> str:
+    shown = ", ".join(str(r) for r in rows[:10])
+    more = "" if len(rows) <= 10 else f" (+{len(rows) - 10} more)"
+    return f"{what}: {shown}{more}"
+
+
+def _split(line: str, comma: bool) -> list[str]:
+    line = line.strip()
+    return next(csv.reader([line])) if comma else line.split()
+
+
 def load_column(path: str, column: str, date_column: str | None = None):
     """Read one numeric column (by index or header name) from a delimited
-    file; optionally collect a companion date column.  Rows that fail to
-    parse are an error, never silently skipped."""
+    file, and optionally locate a companion date column.
+
+    The first non-blank line fixes the delimiter for the whole file (comma if
+    it has one, else whitespace) and is a header if any of its cells is not a
+    number.  Blank lines are skipped.  Rows that fail to parse or hold a
+    non-finite value are an error naming their file line numbers, never
+    silently skipped.
+
+    Returns the values as float64 and, with ``date_column``, a function that
+    reads the date of a data row (0-based) from the file; otherwise None.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
+            first_line = 0
+            for line in iter(fh.readline, ""):
+                first_line += 1
+                if line.strip():
+                    break
+            else:
+                raise DataError(f"{path} contains no data rows")
+            comma = "," in line
+            first = _split(line, comma)
+            header = first if any(not _is_float(cell) for cell in first) else []
+            col = _column_index(column, header)
+            date_col = None if date_column is None else _column_index(date_column, header)
+            for index in (col, date_col):
+                if index is not None and index >= len(first):
+                    raise DataError(
+                        f"{path}: column {index} is past the {len(first)} "
+                        f"columns of row {first_line}"
+                    )
+            skip = first_line if header else 0
+            if not header:
+                fh.seek(0)
+            values = _read_values(fh, path, comma, col, skip)
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-    rows = _parse_rows(text)
-    if not rows:
-        raise DataError(f"{path} contains no data rows")
-
-    has_header = any(not _is_float(cell) for cell in rows[0])
-    header = rows[0] if has_header else []
-    data_rows = rows[1:] if has_header else rows
-    first_row_number = 2 if has_header else 1
-
-    col = _column_index(column, header)
-    date_col = _column_index(date_column, header) if date_column is not None else None
-
-    values, dates, bad = [], [], []
-    for offset, row in enumerate(data_rows):
-        row_number = first_row_number + offset
-        if col >= len(row) or not _is_float(row[col]):
-            bad.append(row_number)
-            continue
-        values.append(float(row[col]))
-        if date_col is not None:
-            dates.append(row[date_col] if date_col < len(row) else "")
-    if bad:
-        shown = ", ".join(str(r) for r in bad[:10])
-        more = "" if len(bad) <= 10 else f" (+{len(bad) - 10} more)"
-        raise DataError(f"{path}: rows failed to parse: {shown}{more}")
-    if not values:
+    if not values.size:
         raise DataError(f"{path}: no usable rows in column {column!r}")
-    return np.asarray(values), (dates if date_col is not None else None)
+    if date_col is None:
+        return values, None
+    return values, functools.partial(_date_at, path, comma, skip, date_col)
+
+
+def _read_values(fh, path: str, comma: bool, col: int, number: int) -> np.ndarray:
+    """Convert column ``col`` of the rest of ``fh`` to float64, a block of
+    lines at a time; ``number`` lines of the file have been read before.
+
+    A block the bulk conversion rejects, or that holds a non-finite value, is
+    checked cell by cell, so a malformed file costs about as much as a clean
+    one and every bad row is named by its file line number.  Lines the bulk
+    conversion rejects but ``float`` reads ("1_000", a whitespace-only line
+    in a comma file) are read in that check.
+    """
+    options = dict(
+        usecols=col, comments=None, ndmin=1,
+        delimiter="," if comma else None, quotechar='"' if comma else None,
+    )
+    parts, bad, nonfinite = [], [], []
+    with warnings.catch_warnings():  # a block of blank lines holds no data
+        warnings.simplefilter("ignore", UserWarning)
+        for block in iter(functools.partial(fh.readlines, BLOCK_CHARS), []):
+            try:
+                values = np.loadtxt(block, **options)
+            except ValueError:
+                values = None
+            if values is None or not np.isfinite(values).all():
+                values = _check_cells(block, number, comma, col, bad, nonfinite)
+            parts.append(values)
+            number += len(block)
+    reports = [_rows_report("rows failed to parse", bad)] if bad else []
+    if nonfinite:
+        reports.append(_rows_report("rows with non-finite values", nonfinite))
+    if reports:
+        raise DataError(f"{path}: " + "; ".join(reports))
+    return np.concatenate(parts) if parts else np.empty(0)
+
+
+def _check_cells(lines, after, comma, col, bad, nonfinite) -> np.ndarray:
+    """Parse column ``col`` of ``lines``, which follow file line ``after``;
+    append the file line numbers of bad and non-finite cells to those lists."""
+    stripped = (line.strip() for line in lines)
+    rows = csv.reader(stripped) if comma else (line.split() for line in stripped)
+    values = []
+    for number, cells in enumerate(rows, start=after + 1):
+        if not cells:
+            continue
+        try:
+            value = float(cells[col])
+        except (IndexError, ValueError):
+            bad.append(number)
+            continue
+        if math.isfinite(value):
+            values.append(value)
+        else:
+            nonfinite.append(number)
+    return np.array(values)
+
+
+def _date_at(path: str, comma: bool, skip: int, date_col: int, index: int) -> str:
+    """The date cell of data row ``index``, read on demand: the test reports
+    one date, so the column is never held in memory."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            rows = (line for line in itertools.islice(fh, skip, None) if line.strip())
+            cells = _split(next(itertools.islice(rows, index, None)), comma)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
+    return cells[date_col] if date_col < len(cells) else ""
 
 
 def _format_p(p: float) -> str:
@@ -107,7 +184,7 @@ def _format_p(p: float) -> str:
 
 
 def cmd_test(args) -> int:
-    values, dates = load_column(args.file, args.column, args.date_column)
+    values, date_of = load_column(args.file, args.column, args.date_column)
     minimum = 3 if args.kind == "levels" else 2  # 3 prices give 2 returns
     if len(values) < minimum:
         raise DataError(
@@ -122,8 +199,6 @@ def cmd_test(args) -> int:
                 f"(offending data row {bad + 1})"
             )
         series = core.compute_returns(series)
-        if dates is not None:
-            dates = dates[1:]
     if args.abs:
         series = core.absolute_transform(series)
 
@@ -133,9 +208,11 @@ def cmd_test(args) -> int:
     except core.DegenerateSeriesError as exc:
         raise DataError(f"{args.file}: {exc}") from exc
 
+    # Return t of a levels file is row t + 1 of its data.
+    first_row = 1 if args.kind == "levels" else 0
     break_date = (
-        dates[outcome.break_index - 1]
-        if dates is not None and 0 < outcome.break_index <= len(dates)
+        date_of(first_row + outcome.break_index - 1)
+        if date_of is not None and 0 < outcome.break_index <= len(series)
         else None
     )
     underflow = outcome.p_value < PVALUE_FLOOR
@@ -188,6 +265,8 @@ def _read_config_file(path: str) -> dict[str, str]:
 
 
 def _config_from_args(args) -> montecarlo.ExperimentConfig:
+    from meanbreak import montecarlo
+
     file_opts = _read_config_file(args.config) if args.config else {}
 
     def pick(flag_value, key, convert, default):
@@ -221,6 +300,8 @@ def _config_from_args(args) -> montecarlo.ExperimentConfig:
 
 
 def cmd_simulate(args) -> int:
+    from meanbreak import montecarlo
+
     config = _config_from_args(args)
     table = montecarlo.run_experiment(config)
     document = montecarlo.emit_table(table, format=args.format)
@@ -237,7 +318,7 @@ def cmd_simulate(args) -> int:
 def _print_diagnostics(config: montecarlo.ExperimentConfig) -> None:
     """Empirical vs limiting variance of the partial-sum process at a few
     sample fractions, for each simulated volatility spec."""
-    from meanbreak import asymptotics, signals
+    from meanbreak import asymptotics, montecarlo, signals
 
     taus = (0.25, 0.5, 0.75)
     n = max(config.sample_sizes)

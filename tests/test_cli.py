@@ -1,10 +1,15 @@
 """End-to-end tests of the command-line interface (run in-process)."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import meanbreak
 from meanbreak import cli, core
 
 
@@ -84,7 +89,80 @@ class TestCmdTest:
         f.write_text("1\nnot-a-number\n3\n")
         code, _, err = run_cli(capsys, "test", str(f))
         assert code == 3
-        assert "2" in err and "parse" in err
+        assert err.endswith("rows failed to parse: 2\n")
+
+    @pytest.mark.parametrize("text, args, report", [
+        # blank and whitespace-only lines count as file lines
+        ("1.0\n\n   \n2.0\nx\n3.0\n", (), "rows failed to parse: 5\n"),
+        ("1\n" + "x\n" * 13 + "2\n3\n", (),
+         "rows failed to parse: 2, 3, 4, 5, 6, 7, 8, 9, 10, 11 (+3 more)\n"),
+        ("1\nnan\n2\n-inf\n3\n", (), "rows with non-finite values: 2, 4\n"),
+        # a row short of the value column
+        ("date,price\n2020-01-01,1.5\n2020-01-02\n2020-01-03,2.0\n",
+         ("--column", "price"), "rows failed to parse: 3\n"),
+        # one delimiter per file: the first row fixes it
+        ("1,2\n3 4\n5,6\n", (), "rows failed to parse: 2\n"),
+    ])
+    def test_bad_row_reports(self, tmp_path, capsys, text, args, report):
+        f = tmp_path / "r.txt"
+        f.write_text(text)
+        code, _, err = run_cli(capsys, "test", str(f), *args)
+        assert code == 3
+        assert err.endswith(report)
+
+    def test_rows_numbered_across_blocks(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "BLOCK_CHARS", 64)  # about ten lines a block
+        lines = ["value"] + [f"{k}.5" for k in range(300)]
+        for k in (3, 77, 150):
+            lines[k] = "   "
+        lines[120], lines[250] = "x", "inf"
+        f = tmp_path / "r.txt"
+        f.write_text("\n".join(lines) + "\n")
+        with pytest.raises(cli.DataError) as err:
+            cli.load_column(str(f), "value")
+        assert str(err.value).endswith(
+            "rows failed to parse: 121; rows with non-finite values: 251"
+        )
+        lines[120], lines[250] = "1.5", "2.5"
+        f.write_text("\n".join(lines) + "\n")
+        values, _ = cli.load_column(str(f), "value")
+        assert values.tolist() == [float(v) for v in lines[1:] if v.strip()]
+
+    @pytest.mark.parametrize("text, args, break_date", [
+        ('date,price\n"Jan 1, 2020",1\n"Jan 2, 2020","1"\n"Jan 3, 2020",3\n',
+         ("--column", "price", "--date-column", "date"), "Jan 2, 2020"),
+        ("date price\n2020-01-01 1\n2020-01-02 1\n2020-01-03 3\n",
+         ("--column", "price", "--date-column", "date"), "2020-01-02"),
+        # a row short of the date column has an empty date
+        ("price,note\n1,a\n1\n3,c\n", ("--column", "price", "--date-column", "note"), ""),
+        ("date,price\n\n2020-01-01,1\n   \n2020-01-02,1\n\n2020-01-03,3\n",
+         ("--column", "1", "--date-column", "0"), "2020-01-02"),
+        ("\n1\n\n  \n1\n3\n", (), None),
+        ("1\n1.0_0\n3\n", (), None),  # float() reads "1.0_0"
+    ])
+    def test_file_layouts(self, tmp_path, capsys, text, args, break_date):
+        f = tmp_path / "r.txt"
+        f.write_text(text)
+        code, out, _ = run_cli(capsys, "test", str(f), "--format", "json", *args)
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["n"] == 3
+        assert doc["statistic"] == core.lm_test(np.array([1.0, 1.0, 3.0])).statistic
+        assert doc["break_index"] == 2
+        assert doc["break_date"] == break_date
+
+    @pytest.mark.parametrize("args, code, message", [
+        (("--column", "-1"), 2, "usage error: column index must be nonnegative, got -1"),
+        (("--column", "5"), 3, "column 5 is past the 2 columns of row 1"),
+        (("--column", "price", "--date-column", "2"), 3, "column 2 is past"),
+        (("--column", "volume"), 3, "column 'volume' not found"),
+    ])
+    def test_column_selection_errors(self, tmp_path, capsys, args, code, message):
+        f = tmp_path / "p.csv"
+        f.write_text("date,price\n2020-01-01,1.5\n2020-01-02,2.5\n2020-01-03,2.0\n")
+        got, _, err = run_cli(capsys, "test", str(f), *args)
+        assert got == code
+        assert message in err
 
     def test_too_few_rows(self, tmp_path, capsys):
         f = tmp_path / "r.txt"
@@ -105,7 +183,11 @@ class TestCmdTest:
         assert code == 0
         doc = json.loads(out)
         assert doc["n"] == 19  # 20 prices -> 19 returns
-        assert doc["break_date"].startswith("2020-01-")
+        assert doc["break_index"] == 9
+        assert doc["break_date"] == "2020-01-10"  # return 9 ends on price row 10
+        expected = core.lm_test(core.compute_returns(100.0 + np.arange(1, 21)))
+        assert doc["statistic"] == expected.statistic
+        assert doc["p_value"] == expected.p_value
 
     def test_json_and_text_agree(self, tmp_path, capsys):
         rng = np.random.default_rng(4)
@@ -240,3 +322,26 @@ class TestCmdSimulate:
         assert code == 0
         assert "diagnostics" in err
         assert "diagnostics" not in out
+
+
+class TestImports:
+    def test_cli_import_leaves_scipy_out(self):
+        src = str(Path(meanbreak.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, meanbreak.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    def test_lazy_package_names(self):
+        from meanbreak import MeanSpec, SigmaSpec, montecarlo, run_experiment, signals
+
+        assert run_experiment is montecarlo.run_experiment
+        assert (MeanSpec, SigmaSpec) == (signals.MeanSpec, signals.SigmaSpec)
+        assert all(hasattr(meanbreak, name) for name in meanbreak.__all__)
+        with pytest.raises(AttributeError):
+            meanbreak.no_such_name
