@@ -16,6 +16,7 @@ import math
 import os
 import sys
 import warnings
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -76,8 +77,8 @@ def load_column(path: str, column: str, date_column: str | None = None):
     non-finite value are an error naming their file line numbers, never
     silently skipped.
 
-    Returns the values as float64 and, with ``date_column``, a function that
-    reads the date of a data row (0-based) from the file; otherwise None.
+    Returns the values as float64 and a :class:`DataRows` that finds the
+    file line and the date of a data row.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -107,9 +108,7 @@ def load_column(path: str, column: str, date_column: str | None = None):
         raise DataError(f"cannot read {path}: {exc}") from exc
     if not values.size:
         raise DataError(f"{path}: no usable rows in column {column!r}")
-    if date_col is None:
-        return values, None
-    return values, functools.partial(_date_at, path, comma, skip, date_col)
+    return values, DataRows(path, comma, skip, date_col)
 
 
 def _read_values(fh, path: str, comma: bool, col: int, number: int) -> np.ndarray:
@@ -167,16 +166,35 @@ def _check_cells(lines, after, comma, col, bad, nonfinite) -> np.ndarray:
     return np.array(values)
 
 
-def _date_at(path: str, comma: bool, skip: int, date_col: int, index: int) -> str:
-    """The date cell of data row ``index``, read on demand: the test reports
-    one date, so the column is never held in memory."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            rows = (line for line in itertools.islice(fh, skip, None) if line.strip())
-            cells = _split(next(itertools.islice(rows, index, None)), comma)
-    except (OSError, UnicodeDecodeError) as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-    return cells[date_col] if date_col < len(cells) else ""
+@dataclass(frozen=True)
+class DataRows:
+    """Finds data rows of a loaded file by reading it again, on demand: a
+    report names one row, so neither line numbers nor dates are kept."""
+
+    path: str
+    comma: bool
+    skip: int  # lines before the first data row
+    date_col: int | None
+
+    def _locate(self, index: int) -> tuple[int, str]:
+        """File line number and text of data row ``index`` (0-based)."""
+        try:
+            with open(self.path, "r", encoding="utf-8") as fh:
+                lines = enumerate(itertools.islice(fh, self.skip, None), self.skip + 1)
+                rows = ((number, line) for number, line in lines if line.strip())
+                return next(itertools.islice(rows, index, None))
+        except (OSError, UnicodeDecodeError) as exc:
+            raise DataError(f"cannot read {self.path}: {exc}") from exc
+
+    def line(self, index: int) -> int:
+        return self._locate(index)[0]
+
+    def date(self, index: int) -> str | None:
+        """The date cell of data row ``index``; None without a date column."""
+        if self.date_col is None:
+            return None
+        cells = _split(self._locate(index)[1], self.comma)
+        return cells[self.date_col] if self.date_col < len(cells) else ""
 
 
 def _format_p(p: float) -> str:
@@ -184,7 +202,7 @@ def _format_p(p: float) -> str:
 
 
 def cmd_test(args) -> int:
-    values, date_of = load_column(args.file, args.column, args.date_column)
+    values, rows = load_column(args.file, args.column, args.date_column)
     minimum = 3 if args.kind == "levels" else 2  # 3 prices give 2 returns
     if len(values) < minimum:
         raise DataError(
@@ -195,8 +213,8 @@ def cmd_test(args) -> int:
         if np.any(series <= 0.0):
             bad = int(np.flatnonzero(series <= 0.0)[0])
             raise DataError(
-                f"levels must be strictly positive for the log-return step "
-                f"(offending data row {bad + 1})"
+                f"{args.file}: levels must be strictly positive for the "
+                f"log-return step (offending row {rows.line(bad)})"
             )
         series = core.compute_returns(series)
     if args.abs:
@@ -211,8 +229,8 @@ def cmd_test(args) -> int:
     # Return t of a levels file is row t + 1 of its data.
     first_row = 1 if args.kind == "levels" else 0
     break_date = (
-        date_of(first_row + outcome.break_index - 1)
-        if date_of is not None and 0 < outcome.break_index <= len(series)
+        rows.date(first_row + outcome.break_index - 1)
+        if 0 < outcome.break_index <= len(series)
         else None
     )
     underflow = outcome.p_value < PVALUE_FLOOR

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -94,59 +95,127 @@ def absolute_transform(series) -> np.ndarray:
     return np.abs(as_series(series))
 
 
-def null_estimates(series) -> NullEstimates:
-    """Sample mean and MLE variance (divisor n) of the series."""
-    arr = as_series(series, min_length=2)
-    mu = float(arr.mean())
-    d = arr - mu
-    sigma2 = float(d @ d) / arr.size
-    return NullEstimates(mu_hat=mu, sigma2_hat=sigma2)
+class _CusumRows(NamedTuple):
+    """Row-wise results of :func:`_cusum_rows`, one entry per row."""
+
+    statistic: np.ndarray  # sup |B(k/n)|; nan on degenerate rows
+    break_index: np.ndarray  # first k attaining the sup; 0 on degenerate rows
+    mu_hat: np.ndarray
+    sigma2_hat: np.ndarray  # divisor n; inf where it exceeds the float range
+    sigma_hat: np.ndarray
+    degenerate: np.ndarray  # zero sample variance: the statistic is undefined
+    points: np.ndarray  # (rows, n + 1) normalized CUSUM paths
 
 
-def _cusum_points(arr: np.ndarray, sigma_hat: float) -> np.ndarray:
+def _cusum_rows(y: np.ndarray) -> _CusumRows:
+    """Normalized CUSUM statistics of each row of a (rows x n) float64 array.
+
+    The array is checked for non-finite values once and each row is centred
+    once.  Before centring, each row is scaled by the power of two that
+    brings max|y| into [0.5, 1): the scaling is exact, so results on
+    normal-range data are unchanged, and the sum of squares cannot overflow,
+    nor underflow unless a row varies by less than about 1e-150 of its
+    largest value.  The estimates are scaled back at the end.
+    """
+    largest = np.maximum(y.max(axis=1), -y.min(axis=1))  # nan or inf if not finite
+    if not np.isfinite(largest).all():
+        bad = np.argwhere(~np.isfinite(y))[0][1]
+        raise ValueError(f"series contains a non-finite value at index {bad}")
+    n = y.shape[1]
+    exponent = np.frexp(largest)[1]
+    d = np.ldexp(y, -exponent[:, None])
+    mu = d.mean(axis=1)
+    d -= mu[:, None]
+    sigma2 = np.vecdot(d, d) / n
+    sigma = np.sqrt(sigma2)
+    degenerate = sigma2 <= 0.0
     # Partial sums of centered values, then the exact-cancellation form
     # S_k - (k/n) S_n: the endpoint is zero by construction, not by luck.
-    n = arr.size
-    d = arr - arr.mean()
-    s = np.empty(n + 1)
-    s[0] = 0.0
-    np.cumsum(d, out=s[1:])
-    k = np.arange(n + 1, dtype=np.float64)
-    points = (s - (k / n) * s[n]) / (math.sqrt(n) * sigma_hat)
-    points[0] = 0.0
-    points[n] = 0.0
-    return points
+    s = np.empty((y.shape[0], n + 1))
+    s[:, 0] = 0.0
+    np.cumsum(d, axis=1, out=s[:, 1:])
+    del d  # freed before the path is allocated: it lowers the peak memory
+    scale = np.where(degenerate, 1.0, math.sqrt(n) * sigma)
+    points = (np.arange(n + 1) / n) * s[:, n:]
+    np.subtract(s, points, out=points)
+    points /= scale[:, None]
+    points[:, 0] = 0.0
+    points[:, n] = 0.0
+    abs_points = np.abs(points, out=s)
+    statistic = abs_points.max(axis=1)
+    statistic[degenerate] = np.nan
+    break_index = abs_points.argmax(axis=1)  # first occurrence
+    break_index[degenerate] = 0
+    with np.errstate(over="ignore"):
+        sigma2_hat = np.ldexp(sigma2, 2 * exponent)
+    return _CusumRows(
+        statistic=statistic,
+        break_index=break_index,
+        mu_hat=np.ldexp(mu, exponent),
+        sigma2_hat=sigma2_hat,
+        sigma_hat=np.ldexp(sigma, exponent),
+        degenerate=degenerate,
+        points=points,
+    )
+
+
+def _cusum_row(series) -> _CusumRows:
+    """:func:`_cusum_rows` of one series of at least two observations."""
+    arr = np.asarray(series, dtype=np.float64)
+    if arr.ndim != 1:
+        raise ValueError(f"series must be one-dimensional, got shape {arr.shape}")
+    if arr.size < 2:
+        raise InsufficientDataError(
+            f"series has {arr.size} observations, need at least 2"
+        )
+    return _cusum_rows(arr[None, :])
+
+
+def _require_variance(rows: _CusumRows) -> None:
+    if rows.degenerate[0]:
+        raise DegenerateSeriesError(
+            "sample variance is zero; the test statistic is undefined"
+        )
+
+
+def null_estimates(series) -> NullEstimates:
+    """Sample mean and MLE variance (divisor n) of the series.
+
+    The variance is ``inf`` when it exceeds the float range (spreads above
+    about 1e154) and underflows to 0 for spreads below about 1e-162; the
+    mean, the CUSUM path and the test stay defined at any scale.
+    """
+    rows = _cusum_row(series)
+    return NullEstimates(
+        mu_hat=float(rows.mu_hat[0]), sigma2_hat=float(rows.sigma2_hat[0])
+    )
 
 
 def cusum_path(series) -> CusumPath:
     """Normalized CUSUM path B(k/n) = sum_{t<=k}(y_t - mean) / (sqrt(n) * sd)."""
-    arr = as_series(series, min_length=2)
-    est = null_estimates(arr)
-    if est.sigma2_hat <= 0.0:
-        raise DegenerateSeriesError(
-            "sample variance is zero; the test statistic is undefined"
-        )
-    sigma_hat = math.sqrt(est.sigma2_hat)
-    return CusumPath(points=_cusum_points(arr, sigma_hat), scale=sigma_hat)
+    rows = _cusum_row(series)
+    _require_variance(rows)
+    return CusumPath(points=rows.points[0], scale=float(rows.sigma_hat[0]))
 
 
 def lm_test(series, alpha: float = 0.05) -> TestOutcome:
     """Test for a change in the mean at significance level ``alpha``.
 
     Returns the sup-statistic, its asymptotic p-value, the smallest grid
-    index attaining the maximum, and the rejection decision.
+    index attaining the maximum, and the rejection decision.  The result
+    does not depend on the scale of the series, down to 1e-300 and up to
+    1e300.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    path = cusum_path(series)
-    abs_points = np.abs(path.points)
-    statistic = float(abs_points.max())
-    break_index = int(np.argmax(abs_points))  # first occurrence
+    rows = _cusum_row(series)
+    _require_variance(rows)
+    statistic = float(rows.statistic[0])
     p = dist.p_value(statistic)
     return TestOutcome(
         statistic=statistic,
         p_value=p,
-        break_index=break_index,
+        break_index=int(rows.break_index[0]),
         reject=p < alpha,
         alpha=alpha,
     )

@@ -21,8 +21,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from meanbreak import core
-from meanbreak.signals import MeanSpec, SigmaSpec, TransitionSpec, generate_series
+from meanbreak import core, dist, signals
+from meanbreak.signals import MeanSpec, SigmaSpec, TransitionSpec
+from meanbreak.signals import generate_series  # noqa: F401  re-exported: one replication
 
 __all__ = [
     "ExperimentConfig",
@@ -42,6 +43,9 @@ _SIGMA_BREAK = 2.0 / 3.0
 # variances, so the standard-deviation levels are their square roots.
 _SIGMA_LEVELS = (math.sqrt(0.5), math.sqrt(1.5))
 _SLOPE = 20.0
+# Values per block of replications in the CUSUM kernel: bounds the memory of
+# a block, and at n >= 2**14 makes it one replication.
+_BLOCK_ELEMENTS = 2**14
 
 _MEANS = {
     "constant": MeanSpec.constant(1.0),
@@ -147,18 +151,29 @@ def _cell_chunk(
     rep_start: int,
     rep_stop: int,
 ) -> tuple[np.ndarray, int]:
-    """Rejection counts per level and degenerate count over a replication range."""
+    """Rejection counts per level and degenerate count over a replication range.
+
+    Replication r is ``generate_series`` with seed (master_seed, key, n, r);
+    blocks of at most ``_BLOCK_ELEMENTS`` values go through the CUSUM kernel
+    together, so results do not depend on how the range is split.
+    """
+    mu = signals.mean_path(mean_spec, n)
+    sigma = signals.sigma_path(sigma_spec, n)
+    alphas = np.asarray(levels)
     rejections = np.zeros(len(levels), dtype=np.int64)
     degenerate = 0
-    alphas = np.asarray(levels)
-    for r in range(rep_start, rep_stop):
-        y = generate_series(mean_spec, sigma_spec, n, (master_seed, key, n, r))
-        try:
-            outcome = core.lm_test(y, alpha=levels[0])
-        except core.DegenerateSeriesError:
-            degenerate += 1
-            continue
-        rejections += outcome.p_value < alphas
+    rows = max(1, _BLOCK_ELEMENTS // n)
+    for block_start in range(rep_start, rep_stop, rows):
+        reps = range(block_start, min(block_start + rows, rep_stop))
+        y = np.empty((len(reps), n))
+        for i, r in enumerate(reps):
+            y[i] = signals.gaussian_stream((master_seed, key, n, r), n)
+        y *= sigma  # y = mu + sigma * eps, in place
+        y += mu
+        result = core._cusum_rows(y)
+        degenerate += int(result.degenerate.sum())
+        p = [dist.p_value(stat) for stat in result.statistic[~result.degenerate]]
+        rejections += (np.array(p)[:, None] < alphas).sum(axis=0)
     return rejections, degenerate
 
 
@@ -175,42 +190,24 @@ def run_experiment(config: ExperimentConfig) -> RejectionTable:
     table = RejectionTable(
         replications=config.replications, master_seed=config.master_seed
     )
-    jobs = []
+    cells, tasks = [], []
     for entry in config.series:
         label, key, mean_spec, sigma_spec = _resolve(entry)
         for n in config.sample_sizes:
-            jobs.append((label, key, mean_spec, sigma_spec, n))
-
-    def record(label: str, n: int, rejections: np.ndarray, degenerate: int) -> None:
+            for start, stop in _chunk_bounds(config.replications, config.workers):
+                cells.append((label, n))
+                tasks.append((mean_spec, sigma_spec, n, key, config.master_seed,
+                              config.levels, start, stop))
+    if config.workers == 1:
+        results = list(map(_cell_chunk, *zip(*tasks)))
+    else:
+        with ProcessPoolExecutor(max_workers=config.workers) as pool:
+            results = list(pool.map(_cell_chunk, *zip(*tasks)))
+    for (label, n), (rejections, degenerate) in zip(cells, results):
         for alpha, count in zip(config.levels, rejections):
             cell = (label, n, alpha)
             table.cells[cell] = table.cells.get(cell, 0) + int(count)
-        table.degenerate[(label, n)] = (
-            table.degenerate.get((label, n), 0) + degenerate
-        )
-
-    if config.workers == 1:
-        for label, key, mean_spec, sigma_spec, n in jobs:
-            rejections, degenerate = _cell_chunk(
-                mean_spec, sigma_spec, n, key, config.master_seed,
-                config.levels, 0, config.replications,
-            )
-            record(label, n, rejections, degenerate)
-        return table
-
-    bounds = _chunk_bounds(config.replications, config.workers)
-    with ProcessPoolExecutor(max_workers=config.workers) as pool:
-        futures = []
-        for label, key, mean_spec, sigma_spec, n in jobs:
-            for start, stop in bounds:
-                fut = pool.submit(
-                    _cell_chunk, mean_spec, sigma_spec, n, key,
-                    config.master_seed, config.levels, start, stop,
-                )
-                futures.append((label, n, fut))
-        for label, n, fut in futures:
-            rejections, degenerate = fut.result()
-            record(label, n, rejections, degenerate)
+        table.degenerate[(label, n)] = table.degenerate.get((label, n), 0) + degenerate
     return table
 
 

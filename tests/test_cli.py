@@ -102,6 +102,9 @@ class TestCmdTest:
          ("--column", "price"), "rows failed to parse: 3\n"),
         # one delimiter per file: the first row fixes it
         ("1,2\n3 4\n5,6\n", (), "rows failed to parse: 2\n"),
+        # a nonpositive level is named by its file line, header and blank lines counted
+        ("price\n\n5\n-1\n5\n", ("--kind", "levels", "--column", "price"),
+         "levels must be strictly positive for the log-return step (offending row 4)\n"),
     ])
     def test_bad_row_reports(self, tmp_path, capsys, text, args, report):
         f = tmp_path / "r.txt"

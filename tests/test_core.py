@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from meanbreak import dist
 from meanbreak.core import (
     DegenerateSeriesError,
+    _cusum_rows,
     InsufficientDataError,
     absolute_transform,
     compute_returns,
@@ -150,6 +151,67 @@ class TestLmTest:
         assert 1 <= out.break_index <= 499
 
 
+STEP = np.concatenate([np.zeros(50), np.ones(50)])
+
+
+class TestScale:
+    @pytest.mark.parametrize("scale", [1e-300, 1e-200, 1e-5, 1.0, 1e5, 1e160, 1e300])
+    def test_step_found_at_any_scale(self, scale):
+        out = lm_test(scale * STEP)
+        assert out.statistic == pytest.approx(5.0, rel=1e-9)
+        assert out.break_index == 50
+        assert out.reject is True
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e300])
+    def test_step_path_at_extreme_scales(self, scale):
+        path = cusum_path(scale * STEP)
+        np.testing.assert_allclose(path.points, cusum_path(STEP).points, rtol=1e-12, atol=1e-12)
+        assert path.scale == pytest.approx(0.5 * scale, rel=1e-12)
+
+    def test_variance_past_float_range_is_inf(self):
+        est = null_estimates(1e300 * STEP)
+        assert est.mu_hat == pytest.approx(0.5e300, rel=1e-15)
+        assert est.sigma2_hat == math.inf
+
+    def test_power_of_two_scaling_is_exact(self):
+        rng = np.random.default_rng(29)
+        y = rng.standard_normal(300) + 4.0
+        base, est = lm_test(y), null_estimates(y)
+        for k in (-900, -40, 3, 40, 900):
+            other = lm_test(np.ldexp(y, k))
+            assert other.statistic == base.statistic
+            assert other.break_index == base.break_index
+            assert null_estimates(np.ldexp(y, k)).mu_hat == math.ldexp(est.mu_hat, k)
+
+
+class TestCusumRows:
+    def test_rows_match_lm_test_and_constant_row_is_flagged(self):
+        rng = np.random.default_rng(31)
+        y = rng.standard_normal((6, 40)) + np.array([[0.0], [1.0], [5.0], [-2.0], [0.0], [0.0]])
+        y[1, 20:] += 1.5
+        y[2] = 3.0
+        y[3] *= 1e-300
+        y[4] *= 1e300
+        rows = _cusum_rows(y)
+        assert rows.degenerate.tolist() == [False, False, True, False, False, False]
+        for i in (0, 1, 3, 4, 5):
+            out, est = lm_test(y[i]), null_estimates(y[i])
+            assert rows.statistic[i] == out.statistic
+            assert rows.break_index[i] == out.break_index
+            assert rows.mu_hat[i] == est.mu_hat
+            assert rows.sigma2_hat[i] == est.sigma2_hat
+            np.testing.assert_array_equal(rows.points[i], cusum_path(y[i]).points)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_value(self, bad):
+        y = np.ones((3, 5))
+        y[2, 4] = bad
+        with pytest.raises(ValueError, match="non-finite value at index 4"):
+            _cusum_rows(y)
+        with pytest.raises(ValueError, match="non-finite value at index 4"):
+            lm_test(y[2])
+
+
 finite_series = st.lists(
     st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
     min_size=3,
@@ -169,6 +231,20 @@ class TestProperties:
         y = np.asarray(ys)
         base = lm_test(y)
         other = lm_test(a + sign * b * y)
+        assert other.statistic == pytest.approx(base.statistic, rel=1e-9, abs=1e-9)
+        assert other.p_value == pytest.approx(base.p_value, rel=1e-9, abs=1e-12)
+        assert other.break_index == base.break_index
+
+    @given(
+        ys=finite_series,
+        exponent=st.integers(min_value=-300, max_value=300),
+        sign=st.sampled_from([-1.0, 1.0]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_scale_invariance_over_float_range(self, ys, exponent, sign):
+        y = np.asarray(ys)
+        base = lm_test(y)
+        other = lm_test(sign * 10.0**exponent * y)
         assert other.statistic == pytest.approx(base.statistic, rel=1e-9, abs=1e-9)
         assert other.p_value == pytest.approx(base.p_value, rel=1e-9, abs=1e-12)
         assert other.break_index == base.break_index

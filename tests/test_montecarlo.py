@@ -1,11 +1,14 @@
 """Tests for the rejection-frequency experiment harness and table emission."""
 
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
 
+from meanbreak import montecarlo
+from meanbreak.core import DegenerateSeriesError, lm_test
 from meanbreak.montecarlo import (
     ExperimentConfig,
     RejectionTable,
@@ -13,7 +16,7 @@ from meanbreak.montecarlo import (
     preset,
     run_experiment,
 )
-from meanbreak.signals import MeanSpec, SigmaSpec
+from meanbreak.signals import MeanSpec, SigmaSpec, generate_series
 
 
 class TestPreset:
@@ -149,6 +152,70 @@ class TestRunExperiment:
         f500 = table.frequency("Series 4", 500, 0.05)
         assert f100 <= f500
         assert f500 >= 0.99
+
+
+def reference_table(config: ExperimentConfig) -> RejectionTable:
+    """The experiment one replication at a time: generate_series, lm_test,
+    then the p-value against every level."""
+    table = RejectionTable(replications=config.replications, master_seed=config.master_seed)
+    for sid in config.series:
+        mean, sigma = preset(sid)
+        for n in config.sample_sizes:
+            counts = dict.fromkeys(config.levels, 0)
+            degenerate = 0
+            for r in range(config.replications):
+                y = generate_series(mean, sigma, n, (config.master_seed, sid, n, r))
+                try:
+                    p = lm_test(y).p_value
+                except DegenerateSeriesError:
+                    degenerate += 1
+                    continue
+                for alpha in config.levels:
+                    counts[alpha] += p < alpha
+            for alpha, count in counts.items():
+                table.cells[(f"Series {sid}", n, alpha)] = count
+            table.degenerate[(f"Series {sid}", n)] = degenerate
+    return table
+
+
+class TestBatchedEngine:
+    # 600 replications at n = 30 span two blocks of the CUSUM kernel.
+    CONFIG = ExperimentConfig(
+        series=tuple(range(1, 10)),
+        sample_sizes=(2, 3, 30, 1001),
+        levels=(0.01, 0.05, 0.10),
+        replications=600,
+        master_seed=21,
+    )
+
+    @pytest.fixture(scope="class")
+    def reference(self):
+        return reference_table(self.CONFIG)
+
+    def test_replications_span_more_than_one_block_at_n_30(self):
+        assert self.CONFIG.replications > montecarlo._BLOCK_ELEMENTS // 30
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_matches_per_replication_reference(self, reference, workers):
+        table = run_experiment(dataclasses.replace(self.CONFIG, workers=workers))
+        assert table.cells == reference.cells
+        assert table.degenerate == reference.degenerate
+
+    def test_block_size_does_not_change_results(self, monkeypatch):
+        config = ExperimentConfig(
+            series=(1, 5, 9), sample_sizes=(3, 50), replications=40, master_seed=4
+        )
+        table = run_experiment(config)
+        monkeypatch.setattr(montecarlo, "_BLOCK_ELEMENTS", 7)
+        assert emit_table(run_experiment(config), "json") == emit_table(table, "json")
+
+    def test_degenerate_replications_counted_not_tested(self):
+        # 1 + 1e-300 * eps rounds to 1: every replication is a constant series.
+        flat = ("flat", MeanSpec.constant(1.0), SigmaSpec.constant(1e-300))
+        config = ExperimentConfig(series=(flat, 1), sample_sizes=(30,), replications=20)
+        table = run_experiment(config)
+        assert table.degenerate == {("flat", 30): 20, ("Series 1", 30): 0}
+        assert all(table.cells[("flat", 30, alpha)] == 0 for alpha in config.levels)
 
 
 class TestEmitTable:
