@@ -16,12 +16,7 @@ from meanbreak.core import (
     lm_test,
     null_estimates,
 )
-from meanbreak.dist import (
-    BridgeSupLaw,
-    bridge_sup_cdf,
-    bridge_sup_quantile,
-    p_value,
-)
+from meanbreak.dist import bridge_sup_cdf, bridge_sup_quantile, p_value
 
 __version__ = "0.1.0"
 
@@ -50,7 +45,6 @@ def __getattr__(name):
 
 
 __all__ = [
-    "BridgeSupLaw",
     "CusumPath",
     "DegenerateSeriesError",
     "ExperimentConfig",

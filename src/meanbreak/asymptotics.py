@@ -14,12 +14,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
-from meanbreak.signals import SigmaSpec, TransitionSpec, sigma_at, transition
+from meanbreak.signals import TransitionSpec, _quad, partial_variance_limit, transition
 
 __all__ = [
-    "erf",
     "drift_quadrature",
     "drift_closed_logistic",
     "drift_closed_exponential",
@@ -29,19 +27,6 @@ __all__ = [
     "partial_variance_limit",
     "wn_path",
 ]
-
-
-def erf(x: float) -> float:
-    """Error function (2/sqrt(pi)) int_0^x exp(-t^2) dt, odd in x."""
-    return math.erf(float(x))
-
-
-def _quad(fn, a: float, b: float, interior) -> float:
-    if b <= a:
-        return 0.0
-    points = [p for p in interior if a < p < b]
-    value, _ = integrate.quad(fn, a, b, points=points or None, epsabs=1e-10, limit=200)
-    return value
 
 
 def drift_quadrature(spec: TransitionSpec, tau: float) -> float:
@@ -85,7 +70,7 @@ def drift_closed_exponential(tau1: float, gamma: float, tau: float) -> float:
     c = math.sqrt(math.pi / (4.0 * gamma))
 
     def antiderivative(upper: float) -> float:
-        return upper - c * (erf(root * (upper - tau1)) + erf(root * tau1))
+        return upper - c * (math.erf(root * (upper - tau1)) + math.erf(root * tau1))
 
     return antiderivative(tau) - tau * antiderivative(1.0)
 
@@ -125,27 +110,6 @@ def limit_variance_smooth(
     mean_f2 = _quad(lambda x: f(x) ** 2, 0.0, 1.0, [spec.tau1])
     shift = (mu2 - mu1) ** 2 * max(mean_f2 - mean_f**2, 0.0)
     return LimitVariance(sigma_star2=sigma_bar2 + shift, sigma_bar2=sigma_bar2, shift_term=shift)
-
-
-def partial_variance_limit(spec: SigmaSpec, tau: float) -> float:
-    """Limit of (1/n) sum_{t <= n tau} sigma_t^2, i.e. int_0^tau sigma(x)^2 dx.
-
-    Normalized by the full ergodic variance this is the limiting variance of
-    the partial-sum process at sample fraction tau; it reduces to tau *
-    sigma^2 for a constant volatility path.
-    """
-    tau = float(tau)
-    if not 0.0 <= tau <= 1.0:
-        raise ValueError(f"tau must lie in [0, 1], got {tau}")
-    if spec.variant == "constant":
-        return tau * spec.levels[0] ** 2
-    if spec.variant == "step":
-        edges = np.asarray((0.0, *spec.fractions, 1.0))
-        levels2 = np.square(np.asarray(spec.levels))
-        widths = np.minimum(edges[1:], tau) - np.minimum(edges[:-1], tau)
-        return float(widths @ levels2)
-    interior = [spec.transition.tau1] if spec.variant == "smooth" else list(spec.locations)
-    return _quad(lambda x: float(sigma_at(spec, x)[0]) ** 2, 0.0, tau, interior)
 
 
 def wn_path(noise_scaled, sigma_bar2: float) -> np.ndarray:

@@ -220,7 +220,6 @@ def cmd_test(args) -> int:
     if args.abs:
         series = core.absolute_transform(series)
 
-    estimates = core.null_estimates(series)
     try:
         outcome = core.lm_test(series, alpha=args.alpha)
     except core.DegenerateSeriesError as exc:
@@ -237,8 +236,8 @@ def cmd_test(args) -> int:
     if args.format == "json":
         doc = {
             "n": len(series),
-            "mu_hat": estimates.mu_hat,
-            "sigma2_hat": estimates.sigma2_hat,
+            "mu_hat": outcome.mu_hat,
+            "sigma2_hat": outcome.sigma2_hat,
             "statistic": outcome.statistic,
             "p_value": 0.0 if underflow else outcome.p_value,
             "underflow": underflow,
@@ -254,8 +253,8 @@ def cmd_test(args) -> int:
         if break_date:
             where += f" ({break_date})"
         print(f"n:           {len(series)}")
-        print(f"mean:        {estimates.mu_hat:.10g}")
-        print(f"variance:    {estimates.sigma2_hat:.10g}")
+        print(f"mean:        {outcome.mu_hat:.10g}")
+        print(f"variance:    {outcome.sigma2_hat:.10g}")
         print(f"statistic:   {outcome.statistic:.7f}")
         print(f"p-value:     {_format_p(outcome.p_value)}")
         print(f"break index: {where}")
@@ -341,8 +340,8 @@ def _print_diagnostics(config: montecarlo.ExperimentConfig) -> None:
     taus = (0.25, 0.5, 0.75)
     n = max(config.sample_sizes)
     reps = min(config.replications, 500)
-    for entry in config.series:
-        label, key, _, sigma_spec = montecarlo._resolve(entry)
+    for key in config.series:
+        _, sigma_spec = montecarlo.preset(key)
         sigma_bar2 = signals.ergodic_variance_limit(sigma_spec)
         path = signals.sigma_path(sigma_spec, n)
         samples = np.empty((reps, len(taus)))
@@ -350,7 +349,7 @@ def _print_diagnostics(config: montecarlo.ExperimentConfig) -> None:
             eps = signals.gaussian_stream((config.master_seed, key, n, r), n)
             wn = asymptotics.wn_path(path * eps, sigma_bar2)
             samples[r] = [wn[int(t * n)] for t in taus]
-        print(f"FCLT diagnostics, {label} (n={n}, reps={reps}):", file=sys.stderr)
+        print(f"FCLT diagnostics, Series {key} (n={n}, reps={reps}):", file=sys.stderr)
         for i, tau in enumerate(taus):
             limit = asymptotics.partial_variance_limit(sigma_spec, tau) / sigma_bar2
             print(
@@ -421,10 +420,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except (core.InsufficientDataError, core.DegenerateSeriesError) as exc:
+    except (DataError, core.InsufficientDataError, core.DegenerateSeriesError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except ValueError as exc:

@@ -35,7 +35,7 @@ class InsufficientDataError(ValueError):
 
 
 class DegenerateSeriesError(ValueError):
-    """Raised when the sample variance is zero and the statistic is undefined."""
+    """Raised when the series is constant and the statistic is undefined."""
 
 
 def as_series(values, min_length: int = 1) -> np.ndarray:
@@ -79,6 +79,8 @@ class TestOutcome:
     break_index: int  # smallest k attaining the max, 1 <= k <= n - 1
     reject: bool
     alpha: float
+    mu_hat: float  # as in NullEstimates, from the same kernel pass
+    sigma2_hat: float
 
 
 def compute_returns(prices) -> np.ndarray:
@@ -103,7 +105,7 @@ class _CusumRows(NamedTuple):
     mu_hat: np.ndarray
     sigma2_hat: np.ndarray  # divisor n; inf where it exceeds the float range
     sigma_hat: np.ndarray
-    degenerate: np.ndarray  # zero sample variance: the statistic is undefined
+    degenerate: np.ndarray  # constant row: the statistic is undefined
     points: np.ndarray  # (rows, n + 1) normalized CUSUM paths
 
 
@@ -117,18 +119,21 @@ def _cusum_rows(y: np.ndarray) -> _CusumRows:
     nor underflow unless a row varies by less than about 1e-150 of its
     largest value.  The estimates are scaled back at the end.
     """
-    largest = np.maximum(y.max(axis=1), -y.min(axis=1))  # nan or inf if not finite
+    hi, lo = y.max(axis=1), y.min(axis=1)
+    largest = np.maximum(hi, -lo)  # nan or inf if not finite
     if not np.isfinite(largest).all():
         bad = np.argwhere(~np.isfinite(y))[0][1]
         raise ValueError(f"series contains a non-finite value at index {bad}")
     n = y.shape[1]
     exponent = np.frexp(largest)[1]
     d = np.ldexp(y, -exponent[:, None])
-    mu = d.mean(axis=1)
+    # Extremes, not the variance: the mean of a constant row can leave
+    # rounding residue, so such a row is centred on its first value instead.
+    degenerate = hi == lo
+    mu = np.where(degenerate, d[:, 0], d.mean(axis=1))
     d -= mu[:, None]
     sigma2 = np.vecdot(d, d) / n
     sigma = np.sqrt(sigma2)
-    degenerate = sigma2 <= 0.0
     # Partial sums of centered values, then the exact-cancellation form
     # S_k - (k/n) S_n: the endpoint is zero by construction, not by luck.
     s = np.empty((y.shape[0], n + 1))
@@ -161,20 +166,13 @@ def _cusum_rows(y: np.ndarray) -> _CusumRows:
 
 def _cusum_row(series) -> _CusumRows:
     """:func:`_cusum_rows` of one series of at least two observations."""
-    arr = np.asarray(series, dtype=np.float64)
-    if arr.ndim != 1:
-        raise ValueError(f"series must be one-dimensional, got shape {arr.shape}")
-    if arr.size < 2:
-        raise InsufficientDataError(
-            f"series has {arr.size} observations, need at least 2"
-        )
-    return _cusum_rows(arr[None, :])
+    return _cusum_rows(as_series(series, min_length=2)[None, :])
 
 
 def _require_variance(rows: _CusumRows) -> None:
     if rows.degenerate[0]:
         raise DegenerateSeriesError(
-            "sample variance is zero; the test statistic is undefined"
+            "series is constant (zero variance); the test statistic is undefined"
         )
 
 
@@ -202,9 +200,10 @@ def lm_test(series, alpha: float = 0.05) -> TestOutcome:
     """Test for a change in the mean at significance level ``alpha``.
 
     Returns the sup-statistic, its asymptotic p-value, the smallest grid
-    index attaining the maximum, and the rejection decision.  The result
-    does not depend on the scale of the series, down to 1e-300 and up to
-    1e300.
+    index attaining the maximum, the rejection decision, and the null
+    estimates.  A constant series raises :class:`DegenerateSeriesError`.
+    The result does not depend on the scale of the series, down to 1e-300
+    and up to 1e300.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
@@ -218,4 +217,6 @@ def lm_test(series, alpha: float = 0.05) -> TestOutcome:
         break_index=int(rows.break_index[0]),
         reject=p < alpha,
         alpha=alpha,
+        mu_hat=float(rows.mu_hat[0]),
+        sigma2_hat=float(rows.sigma2_hat[0]),
     )

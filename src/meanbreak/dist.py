@@ -10,77 +10,65 @@ the plain form would need hundreds of terms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-__all__ = ["BridgeSupLaw", "bridge_sup_cdf", "p_value", "bridge_sup_quantile"]
+__all__ = ["bridge_sup_cdf", "p_value", "bridge_sup_quantile"]
+
+# The alternating series stops once the next term is below this, and after
+# at most this many terms.
+_TRUNCATION_TOLERANCE = 1e-15
+_MAX_TERMS = 100
 
 
-@dataclass(frozen=True)
-class BridgeSupLaw:
-    """Evaluation policy for the alternating series of the limit CDF."""
+def bridge_sup_cdf(z: float) -> float:
+    """P(sup |bridge| <= z).  Zero for z <= 0; clamped to [0, 1]."""
+    return _cdf(float(z))
 
-    truncation_tolerance: float = 1e-15
-    max_terms: int = 100
 
-    def __post_init__(self) -> None:
-        if self.truncation_tolerance <= 0.0:
-            raise ValueError("truncation_tolerance must be positive")
-        if self.max_terms < 2:
-            raise ValueError("max_terms must be at least 2")
-
-    def cdf(self, z: float) -> float:
-        if z <= 0.0:
-            return 0.0
-        if z < 0.5:
-            # The alternating series needs ~4/z terms at small z, so switch to
-            # the dual theta representation, which converges in a term or two
-            # there and keeps the CDF monotone all the way down to 0.
-            factor = math.sqrt(2.0 * math.pi) / z
-            total = 0.0
-            for k in range(1, self.max_terms + 1):
-                term = factor * math.exp(
-                    -((2 * k - 1) ** 2) * math.pi**2 / (8.0 * z * z)
-                )
-                total += term
-                if term < self.truncation_tolerance:
-                    break
-            return min(max(total, 0.0), 1.0)
-        total = 1.0
-        for k in range(1, self.max_terms + 1):
-            total += 2.0 * (-1.0) ** k * math.exp(-2.0 * k * k * z * z)
-            nxt = k + 1
-            if 2.0 * math.exp(-2.0 * nxt * nxt * z * z) < self.truncation_tolerance:
+def _cdf(z: float) -> float:
+    if z <= 0.0:
+        return 0.0
+    if z < 0.5:
+        # The alternating series needs ~4/z terms at small z, so switch to
+        # the dual theta representation, which converges in a term or two
+        # there and keeps the CDF monotone all the way down to 0.
+        factor = math.sqrt(2.0 * math.pi) / z
+        total = 0.0
+        for k in range(1, _MAX_TERMS + 1):
+            term = factor * math.exp(
+                -((2 * k - 1) ** 2) * math.pi**2 / (8.0 * z * z)
+            )
+            total += term
+            if term < _TRUNCATION_TOLERANCE:
                 break
         return min(max(total, 0.0), 1.0)
+    total = 1.0
+    for k in range(1, _MAX_TERMS + 1):
+        total += 2.0 * (-1.0) ** k * math.exp(-2.0 * k * k * z * z)
+        nxt = k + 1
+        if 2.0 * math.exp(-2.0 * nxt * nxt * z * z) < _TRUNCATION_TOLERANCE:
+            break
+    return min(max(total, 0.0), 1.0)
 
 
-_DEFAULT_LAW = BridgeSupLaw()
-
-
-def bridge_sup_cdf(z: float, law: BridgeSupLaw = _DEFAULT_LAW) -> float:
-    """P(sup |bridge| <= z).  Zero for z <= 0; clamped to [0, 1]."""
-    return law.cdf(float(z))
-
-
-def p_value(statistic: float, law: BridgeSupLaw = _DEFAULT_LAW) -> float:
+def p_value(statistic: float) -> float:
     """Asymptotic p-value 1 - F(statistic) of a nonnegative sup-statistic."""
     statistic = float(statistic)
     if statistic < 0.0:
         raise ValueError(f"statistic must be nonnegative, got {statistic}")
-    return min(max(1.0 - law.cdf(statistic), 0.0), 1.0)
+    return min(max(1.0 - _cdf(statistic), 0.0), 1.0)
 
 
-def bridge_sup_quantile(p: float, law: BridgeSupLaw = _DEFAULT_LAW) -> float:
+def bridge_sup_quantile(p: float) -> float:
     """Inverse CDF by bracketing and bisection on the monotone CDF."""
     p = float(p)
     if not 0.0 < p < 1.0:
         raise ValueError(f"probability must lie in (0, 1), got {p}")
     lo, hi = 0.0, 1.0
-    while law.cdf(hi) < p:
+    while _cdf(hi) < p:
         hi *= 2.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if law.cdf(mid) < p:
+        if _cdf(mid) < p:
             lo = mid
         else:
             hi = mid

@@ -1,4 +1,5 @@
-"""Declarative mean/volatility paths and seeded Gaussian series synthesis.
+"""Declarative mean/volatility paths, their variance integrals, and seeded
+Gaussian series synthesis.
 
 A series is y_t = mu_t + sigma_t * eps_t with eps_t ~ N(0, 1).  Both paths
 are deterministic functions of t/n: constant, step (abrupt regime changes at
@@ -23,6 +24,7 @@ __all__ = [
     "mean_path",
     "sigma_path",
     "ergodic_variance_limit",
+    "partial_variance_limit",
     "gaussian_stream",
     "generate_series",
 ]
@@ -78,9 +80,10 @@ def _check_fractions(fractions: tuple[float, ...], what: str) -> None:
 
 
 @dataclass(frozen=True)
-class MeanSpec:
-    """Mean path: constant, step with levels at given fractions, or a smooth
-    two-regime transition."""
+class _PathSpec:
+    """Deterministic path of the sample fraction: constant, step with levels
+    at given fractions, a smooth two-regime transition, or (volatility only)
+    a multi-regime blend of transitions between m + 1 levels."""
 
     variant: str
     levels: tuple[float, ...]
@@ -88,8 +91,13 @@ class MeanSpec:
     transition: TransitionSpec | None = None
 
     def __post_init__(self) -> None:
-        if any(not math.isfinite(v) for v in self.levels):
+        if self._positive:
+            if any(not (math.isfinite(v) and v > 0.0) for v in self.levels):
+                raise ValueError("volatility levels must be finite and strictly positive")
+        elif any(not math.isfinite(v) for v in self.levels):
             raise ValueError("levels must be finite")
+        if self.variant not in self._variants:
+            raise ValueError(f"unknown {self._kind} variant {self.variant!r}")
         if self.variant == "constant":
             if len(self.levels) != 1:
                 raise ValueError("constant variant takes exactly one level")
@@ -100,57 +108,7 @@ class MeanSpec:
         elif self.variant == "smooth":
             if len(self.levels) != 2 or self.transition is None:
                 raise ValueError("smooth variant needs two levels and a transition")
-        else:
-            raise ValueError(f"unknown mean variant {self.variant!r}")
-
-    @classmethod
-    def constant(cls, mu: float) -> "MeanSpec":
-        return cls(variant="constant", levels=(float(mu),))
-
-    @classmethod
-    def step(cls, levels, fractions) -> "MeanSpec":
-        return cls(
-            variant="step",
-            levels=tuple(float(v) for v in levels),
-            fractions=tuple(float(f) for f in fractions),
-        )
-
-    @classmethod
-    def smooth(cls, level_from: float, level_to: float, spec: TransitionSpec) -> "MeanSpec":
-        return cls(
-            variant="smooth",
-            levels=(float(level_from), float(level_to)),
-            transition=spec,
-        )
-
-
-@dataclass(frozen=True)
-class SigmaSpec:
-    """Volatility path: constant, step, smooth, or a multi-regime blend of
-    transitions between m + 1 positive levels."""
-
-    variant: str
-    levels: tuple[float, ...]
-    fractions: tuple[float, ...] = ()
-    transition: TransitionSpec | None = None
-    locations: tuple[float, ...] = ()
-    scales: tuple[float, ...] = ()
-    transitions: tuple[TransitionSpec, ...] = field(default=())
-
-    def __post_init__(self) -> None:
-        if any(not (math.isfinite(v) and v > 0.0) for v in self.levels):
-            raise ValueError("volatility levels must be finite and strictly positive")
-        if self.variant == "constant":
-            if len(self.levels) != 1:
-                raise ValueError("constant variant takes exactly one level")
-        elif self.variant == "step":
-            if len(self.levels) != len(self.fractions) + 1:
-                raise ValueError("step variant needs len(levels) == len(fractions) + 1")
-            _check_fractions(self.fractions, "step fractions")
-        elif self.variant == "smooth":
-            if len(self.levels) != 2 or self.transition is None:
-                raise ValueError("smooth variant needs two levels and a transition")
-        elif self.variant == "multi_regime":
+        else:  # multi_regime, whose fields only SigmaSpec declares
             m = len(self.locations)
             if m < 1 or len(self.levels) != m + 1:
                 raise ValueError("multi_regime needs m locations and m + 1 levels")
@@ -159,15 +117,9 @@ class SigmaSpec:
             _check_fractions(self.locations, "regime locations")
             if any(s <= 0.0 for s in self.scales):
                 raise ValueError("regime scales must be positive")
-        else:
-            raise ValueError(f"unknown sigma variant {self.variant!r}")
 
     @classmethod
-    def constant(cls, sigma: float) -> "SigmaSpec":
-        return cls(variant="constant", levels=(float(sigma),))
-
-    @classmethod
-    def step(cls, levels, fractions) -> "SigmaSpec":
+    def step(cls, levels, fractions):
         return cls(
             variant="step",
             levels=tuple(float(v) for v in levels),
@@ -175,12 +127,41 @@ class SigmaSpec:
         )
 
     @classmethod
-    def smooth(cls, level_from: float, level_to: float, spec: TransitionSpec) -> "SigmaSpec":
+    def smooth(cls, level_from: float, level_to: float, spec: TransitionSpec):
         return cls(
             variant="smooth",
             levels=(float(level_from), float(level_to)),
             transition=spec,
         )
+
+
+class MeanSpec(_PathSpec):
+    """Mean path: constant, step, or smooth; levels may take any finite value."""
+
+    _kind = "mean"
+    _positive = False
+    _variants = ("constant", "step", "smooth")
+
+    @classmethod
+    def constant(cls, mu: float) -> "MeanSpec":
+        return cls(variant="constant", levels=(float(mu),))
+
+
+@dataclass(frozen=True)
+class SigmaSpec(_PathSpec):
+    """Volatility path: constant, step, smooth, or multi-regime; levels are
+    strictly positive."""
+
+    _kind = "sigma"
+    _positive = True
+    _variants = ("constant", "step", "smooth", "multi_regime")
+    locations: tuple[float, ...] = ()
+    scales: tuple[float, ...] = ()
+    transitions: tuple[TransitionSpec, ...] = field(default=())
+
+    @classmethod
+    def constant(cls, sigma: float) -> "SigmaSpec":
+        return cls(variant="constant", levels=(float(sigma),))
 
     @classmethod
     def multi_regime(cls, levels, locations, scales, transitions) -> "SigmaSpec":
@@ -193,44 +174,33 @@ class SigmaSpec:
         )
 
 
-def _break_points(fractions: tuple[float, ...], n: int) -> np.ndarray:
-    # Integer part [fraction * n], nudged so that e.g. (2/3) * 3 floors to 2.
-    return np.floor(np.asarray(fractions) * n + _FLOOR_NUDGE).astype(np.int64)
-
-
-def _step_values(levels, fractions, t: np.ndarray, n: int) -> np.ndarray:
-    breaks = _break_points(fractions, n)
-    idx = np.searchsorted(breaks, t, side="left")  # count of breaks < t
-    return np.asarray(levels, dtype=np.float64)[idx]
-
-
-def mean_path(spec: MeanSpec, n: int) -> np.ndarray:
-    """Mean at t = 1..n; step boundaries follow the integer-part convention,
-    smooth paths evaluate the transition at x = t/n (right endpoint included)."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    t = np.arange(1, n + 1)
+def _values(spec: _PathSpec, x: np.ndarray, edges, at) -> np.ndarray:
+    """Path values at the sample fractions ``x``; a step path takes level j
+    where ``at`` exceeds j of its break ``edges`` (an edge closes a regime)."""
     if spec.variant == "constant":
-        return np.full(n, spec.levels[0])
+        return np.full(x.shape, spec.levels[0])
     if spec.variant == "step":
-        return _step_values(spec.levels, spec.fractions, t, n)
-    lo, hi = spec.levels
-    return lo + (hi - lo) * transition(spec.transition, t / n)
-
-
-def sigma_path(spec: SigmaSpec, n: int) -> np.ndarray:
-    """Volatility at t = 1..n, strictly positive."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    t = np.arange(1, n + 1)
-    if spec.variant == "constant":
-        return np.full(n, spec.levels[0])
-    if spec.variant == "step":
-        return _step_values(spec.levels, spec.fractions, t, n)
+        idx = np.searchsorted(edges, at, side="left")
+        return np.asarray(spec.levels, dtype=np.float64)[idx]
     if spec.variant == "smooth":
         lo, hi = spec.levels
-        return lo + (hi - lo) * transition(spec.transition, t / n)
-    return _multi_regime_values(spec, t / n)
+        return lo + (hi - lo) * transition(spec.transition, x)
+    return _multi_regime_values(spec, x)
+
+
+def mean_path(spec: _PathSpec, n: int) -> np.ndarray:
+    """Mean or volatility (``sigma_path`` is this function) at t = 1..n; step
+    boundaries follow the integer-part convention, smooth paths evaluate the
+    transition at x = t/n (right endpoint included)."""
+    if n < 1:
+        raise ValueError("n must be positive")
+    t = np.arange(1, n + 1)
+    # Integer part [fraction * n], nudged so that e.g. (2/3) * 3 floors to 2.
+    breaks = np.floor(np.asarray(spec.fractions) * n + _FLOOR_NUDGE).astype(np.int64)
+    return _values(spec, t / n, breaks, t)
+
+
+sigma_path = mean_path
 
 
 def _multi_regime_values(spec: SigmaSpec, x: np.ndarray) -> np.ndarray:
@@ -256,46 +226,47 @@ def _multi_regime_values(spec: SigmaSpec, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def sigma_at(spec: SigmaSpec, x) -> np.ndarray:
-    """Volatility as a function of the continuous sample fraction x in [0, 1].
-
-    Used for the ergodic-limit quadrature; step regimes assign x <= tau_j to
-    regime j (boundary points have measure zero under integration).
-    """
+def _sigma_at(spec: SigmaSpec, x: float) -> float:
+    """Volatility at the continuous sample fraction x in [0, 1], for
+    quadrature: step regimes assign x <= tau_j to regime j (boundary points
+    have measure zero under integration)."""
     arr = np.atleast_1d(np.asarray(x, dtype=np.float64))
+    return float(_values(spec, arr, np.asarray(spec.fractions), arr)[0])
+
+
+def _quad(fn, a: float, b: float, interior) -> float:
+    if b <= a:
+        return 0.0
+    points = [p for p in interior if a < p < b]
+    value, _ = integrate.quad(fn, a, b, points=points or None, epsabs=1e-10, limit=200)
+    return value
+
+
+def partial_variance_limit(spec: SigmaSpec, tau: float) -> float:
+    """Limit of (1/n) sum_{t <= n tau} sigma_t^2, i.e. int_0^tau sigma(x)^2 dx.
+
+    Normalized by the full ergodic variance this is the limiting variance of
+    the partial-sum process at sample fraction tau; it reduces to tau *
+    sigma^2 for a constant volatility path.  Closed form for constant and
+    step paths, quadrature of the squared path otherwise.
+    """
+    tau = float(tau)
+    if not 0.0 <= tau <= 1.0:
+        raise ValueError(f"tau must lie in [0, 1], got {tau}")
     if spec.variant == "constant":
-        return np.full(arr.shape, spec.levels[0])
+        return tau * spec.levels[0] ** 2
     if spec.variant == "step":
-        idx = np.searchsorted(np.asarray(spec.fractions), arr, side="left")
-        return np.asarray(spec.levels, dtype=np.float64)[idx]
-    if spec.variant == "smooth":
-        lo, hi = spec.levels
-        return lo + (hi - lo) * transition(spec.transition, arr)
-    return _multi_regime_values(spec, arr)
+        edges = np.asarray((0.0, *spec.fractions, 1.0))
+        levels2 = np.square(np.asarray(spec.levels))
+        widths = np.minimum(edges[1:], tau) - np.minimum(edges[:-1], tau)
+        return float(widths @ levels2)
+    interior = [spec.transition.tau1] if spec.variant == "smooth" else list(spec.locations)
+    return _quad(lambda x: _sigma_at(spec, x) ** 2, 0.0, tau, interior)
 
 
 def ergodic_variance_limit(spec: SigmaSpec) -> float:
-    """Limit of (1/n) sum sigma_t^2: closed form for constant/step paths,
-    quadrature of the squared path over [0, 1] otherwise."""
-    if spec.variant == "constant":
-        return spec.levels[0] ** 2
-    if spec.variant == "step":
-        edges = (0.0, *spec.fractions, 1.0)
-        widths = np.diff(edges)
-        return float(widths @ np.square(spec.levels))
-    if spec.variant == "smooth":
-        interior = [spec.transition.tau1]
-    else:
-        interior = list(spec.locations)
-    value, _ = integrate.quad(
-        lambda x: float(sigma_at(spec, x)[0]) ** 2,
-        0.0,
-        1.0,
-        points=interior,
-        epsabs=1e-10,
-        limit=200,
-    )
-    return value
+    """Limit of (1/n) sum sigma_t^2: ``partial_variance_limit`` at tau = 1."""
+    return partial_variance_limit(spec, 1.0)
 
 
 def gaussian_stream(seed, count: int) -> np.ndarray:

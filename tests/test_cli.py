@@ -72,6 +72,14 @@ class TestCmdTest:
         assert code == 3
         assert "variance" in err
 
+    @pytest.mark.parametrize("n", [3, 30, 100, 1000])
+    def test_constant_returns_is_data_error(self, tmp_path, capsys, n):
+        f = tmp_path / "r.txt"
+        f.write_text("0.1\n" * n)
+        code, _, err = run_cli(capsys, "test", str(f))
+        assert code == 3
+        assert "variance" in err
+
     def test_nonpositive_level_is_data_error(self, tmp_path, capsys):
         f = tmp_path / "p.txt"
         f.write_text("5\n-1\n5\n")

@@ -64,6 +64,13 @@ class TestNullEstimates:
         assert est.mu_hat == 1.0
         assert est.sigma2_hat == 0.0
 
+    @pytest.mark.parametrize("n", [3, 30, 100, 1000])
+    def test_constant_is_exact_when_the_mean_does_not_round_back(self, n):
+        # The plain mean of n copies of 0.1 is not 0.1; the kernel reports the
+        # value itself and a zero variance, not rounding residue.
+        est = null_estimates(np.full(n, 0.1))
+        assert (est.mu_hat, est.sigma2_hat) == (0.1, 0.0)
+
     def test_symmetric_pair(self):
         est = null_estimates([-1.0, 1.0])
         assert est.mu_hat == 0.0
@@ -123,6 +130,12 @@ class TestLmTest:
         out = lm_test([-1.0, 1.0], alpha=0.05)
         assert out.statistic == pytest.approx(0.7071067811865475, abs=1e-12)
         assert out.break_index == 1
+
+    @pytest.mark.parametrize("n", [3, 30, 100, 1000])
+    def test_constant_series_is_degenerate(self, n):
+        # The mean of n copies of 0.1 does not round back to 0.1.
+        with pytest.raises(DegenerateSeriesError):
+            lm_test(np.full(n, 0.1))
 
     def test_tie_breaks_to_smallest_index(self):
         out = lm_test([0.0, 0.0, 3.0, 3.0])
@@ -200,6 +213,7 @@ class TestCusumRows:
             assert rows.break_index[i] == out.break_index
             assert rows.mu_hat[i] == est.mu_hat
             assert rows.sigma2_hat[i] == est.sigma2_hat
+            assert (out.mu_hat, out.sigma2_hat) == (est.mu_hat, est.sigma2_hat)
             np.testing.assert_array_equal(rows.points[i], cusum_path(y[i]).points)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

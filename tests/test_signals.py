@@ -85,6 +85,14 @@ class TestMeanPath:
         with pytest.raises(ValueError):
             mean_path(MeanSpec.constant(1.0), 0)
 
+    def test_mean_spec_takes_no_regime_fields(self):
+        with pytest.raises(TypeError):
+            MeanSpec("constant", (1.0,), locations=(0.5,))
+        with pytest.raises(ValueError, match="unknown mean variant"):
+            MeanSpec("multi_regime", (1.0, 2.0))
+        assert MeanSpec.constant(mu=1.0) == MeanSpec("constant", (1.0,))
+        assert SigmaSpec.constant(sigma=2.0) == SigmaSpec("constant", (2.0,))
+
 
 class TestSigmaPath:
     def test_constant(self):
