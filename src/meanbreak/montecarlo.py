@@ -7,6 +7,9 @@ measure size, presets 4-9 measure power.
 
 Per-replication seeds are derived from (master_seed, series, n, replication),
 so any parallel schedule produces the same table as the sequential run.
+Replication r's noise is ``signals.gaussian_stream((master_seed, key, n, r),
+n)``.  The engine derives the Philox keys of many replications at once and
+sets one generator to each key in turn, which gives the same bits.
 """
 
 from __future__ import annotations
@@ -46,6 +49,11 @@ _SLOPE = 20.0
 # Values per block of replications in the CUSUM kernel: bounds the memory of
 # a block, and at n >= 2**14 makes it one replication.
 _BLOCK_ELEMENTS = 2**14
+# ``dist.p_value`` is within about 1e-15 of the exact series (its truncation
+# tolerance) and ``dist.bridge_sup_quantile`` within about 1e-14 in
+# probability.  A statistic whose exact p-value clears a level by this margin
+# is decided by comparison alone; the rest get ``dist.p_value``.
+_TALLY_MARGIN = 1e-13
 
 _MEANS = {
     "constant": MeanSpec.constant(1.0),
@@ -100,14 +108,20 @@ class ExperimentConfig:
     workers: int = 1
 
     def __post_init__(self) -> None:
-        if self.replications < 1:
-            raise ValueError("replications must be at least 1")
+        # Replication indices are one 32-bit word of the stream's seed.
+        if not 1 <= self.replications <= 2**32:
+            raise ValueError("replications must lie in 1..2**32")
         if any(n < 2 for n in self.sample_sizes):
             raise ValueError("sample sizes must be at least 2")
+        if len(set(self.sample_sizes)) != len(self.sample_sizes):
+            raise ValueError(f"sample sizes must be distinct, got {self.sample_sizes}")
         if any(not 0.0 < a < 1.0 for a in self.levels):
             raise ValueError("levels must lie in (0, 1)")
-        if list(self.levels) != sorted(self.levels):
-            raise ValueError("levels must be sorted ascending")
+        if any(a >= b for a, b in zip(self.levels, self.levels[1:])):
+            raise ValueError(f"levels must be strictly ascending, got {self.levels}")
+        labels = [_resolve(entry)[0] for entry in self.series]
+        if len(set(labels)) != len(labels):
+            raise ValueError(f"series labels must be distinct, got {labels}")
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
         if self.master_seed < 0:
@@ -141,6 +155,28 @@ def _resolve(entry) -> tuple[str, int, MeanSpec, SigmaSpec]:
     return str(label), key, mean_spec, sigma_spec
 
 
+def _critical_bands(levels) -> np.ndarray:
+    """Statistics (lo, hi) per level: an exact p-value is at least alpha +
+    ``_TALLY_MARGIN`` at s <= lo and at most alpha - ``_TALLY_MARGIN`` at
+    s >= hi.  An edge the law cannot place is -inf or inf."""
+    bands = np.empty((len(levels), 2))
+    for row, alpha in zip(bands, levels):
+        p_lo, p_hi = 1.0 - (alpha + _TALLY_MARGIN), 1.0 - (alpha - _TALLY_MARGIN)
+        row[0] = dist.bridge_sup_quantile(p_lo) if p_lo > 0.0 else -np.inf
+        row[1] = dist.bridge_sup_quantile(p_hi) if p_hi < 1.0 else np.inf
+    return bands
+
+
+def _rejections(statistic: np.ndarray, alphas: np.ndarray, bands: np.ndarray) -> np.ndarray:
+    """``dist.p_value(s) < alpha`` per statistic (rows) and level (columns):
+    outside each level's band by comparison, inside it by the p-value."""
+    s = statistic[:, None]
+    reject = s > bands[:, 1]
+    for i, j in zip(*np.nonzero((s >= bands[:, 0]) & ~reject)):
+        reject[i, j] = dist.p_value(statistic[i]) < alphas[j]
+    return reject
+
+
 def _cell_chunk(
     mean_spec: MeanSpec,
     sigma_spec: SigmaSpec,
@@ -148,6 +184,7 @@ def _cell_chunk(
     key: int,
     master_seed: int,
     levels: tuple[float, ...],
+    bands: np.ndarray,
     rep_start: int,
     rep_stop: int,
 ) -> tuple[np.ndarray, int]:
@@ -155,7 +192,8 @@ def _cell_chunk(
 
     Replication r is ``generate_series`` with seed (master_seed, key, n, r);
     blocks of at most ``_BLOCK_ELEMENTS`` values go through the CUSUM kernel
-    together, so results do not depend on how the range is split.
+    together, so results do not depend on how the range is split.  ``bands``
+    are ``_critical_bands(levels)``.
     """
     mu = signals.mean_path(mean_spec, n)
     sigma = signals.sigma_path(sigma_spec, n)
@@ -163,17 +201,19 @@ def _cell_chunk(
     rejections = np.zeros(len(levels), dtype=np.int64)
     degenerate = 0
     rows = max(1, _BLOCK_ELEMENTS // n)
-    for block_start in range(rep_start, rep_stop, rows):
-        reps = range(block_start, min(block_start + rows, rep_stop))
-        y = np.empty((len(reps), n))
-        for i, r in enumerate(reps):
-            y[i] = signals.gaussian_stream((master_seed, key, n, r), n)
-        y *= sigma  # y = mu + sigma * eps, in place
-        y += mu
-        result = core._cusum_rows(y)
-        degenerate += int(result.degenerate.sum())
-        p = [dist.p_value(stat) for stat in result.statistic[~result.degenerate]]
-        rejections += (np.array(p)[:, None] < alphas).sum(axis=0)
+    # Keys for at most _BLOCK_ELEMENTS replications at a time, so their
+    # memory stays bounded like a block's.
+    for batch_start in range(rep_start, rep_stop, _BLOCK_ELEMENTS):
+        batch = range(batch_start, min(batch_start + _BLOCK_ELEMENTS, rep_stop))
+        keys = signals._philox_keys((master_seed, key, n), batch)
+        for block_start in range(0, len(keys), rows):
+            y = signals._gaussian_rows(keys[block_start:block_start + rows], n)
+            y *= sigma  # y = mu + sigma * eps, in place
+            y += mu
+            result = core._cusum_rows(y)
+            degenerate += int(result.degenerate.sum())
+            tested = result.statistic[~result.degenerate]
+            rejections += _rejections(tested, alphas, bands).sum(axis=0)
     return rejections, degenerate
 
 
@@ -191,13 +231,14 @@ def run_experiment(config: ExperimentConfig) -> RejectionTable:
         replications=config.replications, master_seed=config.master_seed
     )
     cells, tasks = [], []
+    bands = _critical_bands(config.levels)
     for entry in config.series:
         label, key, mean_spec, sigma_spec = _resolve(entry)
         for n in config.sample_sizes:
             for start, stop in _chunk_bounds(config.replications, config.workers):
                 cells.append((label, n))
                 tasks.append((mean_spec, sigma_spec, n, key, config.master_seed,
-                              config.levels, start, stop))
+                              config.levels, bands, start, stop))
     if config.workers == 1:
         results = list(map(_cell_chunk, *zip(*tasks)))
     else:

@@ -283,6 +283,101 @@ def gaussian_stream(seed, count: int) -> np.ndarray:
     return np.random.Generator(bit_gen).standard_normal(count)
 
 
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx): its constants,
+# its pool of four 32-bit words and its shift.  ``_philox_keys`` repeats it
+# over arrays of replications.
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE = 4
+_XSHIFT = np.uint32(16)
+
+
+def _uint32_words(value: int) -> list[int]:
+    """Little-endian 32-bit words of a nonnegative integer, as SeedSequence
+    splits entropy: 0 is one word, 2**32 two."""
+    if value < 0:
+        raise ValueError(f"seed entries must be nonnegative, got {value}")
+    words = [value & _MASK32]
+    while value > _MASK32:
+        value >>= 32
+        words.append(value & _MASK32)
+    return words
+
+
+def _hasher(init: int, mult: int):
+    """SeedSequence's running hash over uint32 arrays: each call xors the
+    value with the running constant, advances the constant by ``mult`` and
+    multiplies."""
+    const = init
+
+    def step(value: np.ndarray) -> np.ndarray:
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * mult & _MASK32
+        value = value * np.uint32(const)
+        return value ^ (value >> _XSHIFT)
+
+    return step
+
+
+def _philox_keys(prefix, reps) -> np.ndarray:
+    """Philox keys of ``gaussian_stream(tuple(prefix) + (r,), ...)`` for every
+    r in ``reps``, shape (len(reps), 2) uint64.
+
+    Each row equals ``SeedSequence(list(prefix) + [r]).generate_state(2,
+    np.uint64)``.  The hash constants do not depend on the data, so the
+    SeedSequence algorithm runs elementwise over the replications.  Every r
+    must fit one 32-bit word.
+    """
+    r = np.asarray(reps, dtype=np.int64)
+    if r.size and (r.min() < 0 or r.max() > _MASK32):
+        raise ValueError("replication indices must lie in [0, 2**32)")
+    entropy = [np.full(r.shape, w, np.uint32) for v in prefix for w in _uint32_words(int(v))]
+    entropy.append(r.astype(np.uint32))
+    hashmix = _hasher(_INIT_A, _MULT_A)
+
+    def mix(x, y):
+        result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+        return result ^ (result >> _XSHIFT)
+
+    zero = np.zeros(r.shape, np.uint32)
+    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(_POOL_SIZE)]
+    for i_src in range(_POOL_SIZE):
+        for i_dst in range(_POOL_SIZE):
+            if i_src != i_dst:
+                pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src]))
+    for word in entropy[_POOL_SIZE:]:
+        for i_dst in range(_POOL_SIZE):
+            pool[i_dst] = mix(pool[i_dst], hashmix(word))
+    # generate_state(2, np.uint64): four output words, paired little-endian.
+    output = _hasher(_INIT_B, _MULT_B)
+    low0, high0, low1, high1 = (output(value).astype(np.uint64) for value in pool)
+    shift = np.uint64(32)
+    return np.stack([low0 | high0 << shift, low1 | high1 << shift], axis=-1)
+
+
+def _gaussian_rows(keys: np.ndarray, count: int) -> np.ndarray:
+    """(len(keys), count) standard normals: row i is the ``gaussian_stream``
+    whose seed has the Philox key ``keys[i]`` (see ``_philox_keys``).
+
+    One generator is set to each key in turn, with the zero counter and
+    empty buffer of a newly seeded Philox.
+    """
+    bit_gen = np.random.Philox(key=keys[0])
+    gen = np.random.Generator(bit_gen)
+    zeros = np.zeros(4, dtype=np.uint64)
+    state = {"bit_generator": "Philox", "buffer": zeros, "buffer_pos": 4,
+             "has_uint32": 0, "uinteger": 0}
+    out = np.empty((len(keys), count))
+    for row, key in zip(out, keys):
+        state["state"] = {"counter": zeros, "key": key}
+        bit_gen.state = state
+        gen.standard_normal(out=row)
+    return out
+
+
 def generate_series(mean: MeanSpec, sigma: SigmaSpec, n: int, seed) -> np.ndarray:
     """Synthesize y_t = mu_t + sigma_t * eps_t for t = 1..n."""
     eps = gaussian_stream(seed, n)

@@ -280,6 +280,21 @@ class TestCmdSimulate:
         assert code == 2
         assert "series" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--series", "4", "--alpha", "0.05", "--alpha", "0.05"),
+            ("--series", "1", "--series", "1"),
+            ("--series", "1", "--n", "30", "--n", "30"),
+            ("--series", "1", "--reps", str(2**32 + 1)),
+        ],
+    )
+    def test_duplicate_axis_or_too_many_reps_is_usage_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, "simulate", "--n", "100", "--reps", "20", *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("usage error:")
+
     def test_config_file_equivalent_to_flags(self, tmp_path, capsys):
         cfg = tmp_path / "sim.cfg"
         cfg.write_text(

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from meanbreak import montecarlo
+from meanbreak import dist, montecarlo
 from meanbreak.core import DegenerateSeriesError, lm_test
 from meanbreak.montecarlo import (
     ExperimentConfig,
@@ -62,6 +62,26 @@ class TestExperimentConfig:
             ExperimentConfig(workers=0)
         with pytest.raises(ValueError):
             ExperimentConfig(master_seed=-1)
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"levels": (0.05, 0.05)}, "strictly ascending"),
+            ({"levels": (0.01, 0.05, 0.05, 0.1)}, "strictly ascending"),
+            ({"sample_sizes": (30, 30)}, "distinct"),
+            ({"sample_sizes": (30, 100, 30)}, "distinct"),
+            ({"series": (1, 1)}, "distinct"),
+            ({"series": (1, ("Series 1", MeanSpec.constant(0.0), SigmaSpec.constant(1.0)))},
+             "distinct"),
+            ({"replications": 2**32 + 1}, "replications"),
+        ],
+    )
+    def test_duplicate_axes_and_too_many_replications_rejected(self, fields, message):
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig(**fields)
+
+    def test_largest_replication_count_accepted(self):
+        assert ExperimentConfig(replications=2**32).replications == 2**32
 
 
 SMALL = ExperimentConfig(
@@ -216,6 +236,56 @@ class TestBatchedEngine:
         table = run_experiment(config)
         assert table.degenerate == {("flat", 30): 20, ("Series 1", 30): 0}
         assert all(table.cells[("flat", 30, alpha)] == 0 for alpha in config.levels)
+
+
+class TestThresholdTally:
+    """Rejections decided against critical values equal ``p_value < alpha``
+    for every statistic."""
+
+    ALPHAS = np.array([1e-12, 0.01, 0.05, 0.1, 0.5, 0.99])
+
+    @pytest.fixture(scope="class")
+    def bands(self):
+        return montecarlo._critical_bands(self.ALPHAS)
+
+    def check(self, statistic, bands):
+        reference = np.array([[dist.p_value(s) < a for a in self.ALPHAS] for s in statistic])
+        np.testing.assert_array_equal(
+            montecarlo._rejections(statistic, self.ALPHAS, bands), reference
+        )
+
+    def test_band_edges_clear_each_level(self, bands):
+        # The series is within about 1e-15 of its exact value, so p-values
+        # outside the band are decided with a wide margin.
+        for alpha, (lo, hi) in zip(self.ALPHAS, bands):
+            assert lo < dist.bridge_sup_quantile(1.0 - alpha) < hi
+            assert dist.p_value(lo) >= alpha + 0.9 * montecarlo._TALLY_MARGIN
+            assert dist.p_value(hi) <= alpha - 0.9 * montecarlo._TALLY_MARGIN
+
+    def test_dense_grid(self, bands):
+        self.check(np.linspace(0.0, 8.0, 40001), bands)
+
+    def test_steps_around_critical_values_and_band_edges(self, bands):
+        centres = [dist.bridge_sup_quantile(1.0 - a) for a in self.ALPHAS]
+        centres += list(bands.ravel())
+        statistic = list(centres)
+        for c in centres:
+            up = down = c
+            for _ in range(64):
+                up, down = np.nextafter(up, np.inf), np.nextafter(down, -np.inf)
+                statistic += [up, down]
+        self.check(np.array(statistic), bands)
+
+    @pytest.mark.parametrize("alpha", [1e-300, 1e-15, 1.0 - 1e-13, 1.0 - 1e-16])
+    def test_levels_without_a_closed_band(self, alpha):
+        # alpha -/+ the margin leaves (0, 1): that side of the band is open.
+        alphas = np.array([alpha])
+        bands = montecarlo._critical_bands(alphas)
+        assert np.isinf(bands).sum() == 1
+        edge = bands[np.isfinite(bands)][0]
+        statistic = np.concatenate([np.linspace(0.0, 10.0, 2001), np.nextafter(edge, [0.0, 9.0])])
+        reference = np.array([[dist.p_value(s) < alpha] for s in statistic])
+        np.testing.assert_array_equal(montecarlo._rejections(statistic, alphas, bands), reference)
 
 
 class TestEmitTable:

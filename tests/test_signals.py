@@ -1,10 +1,12 @@
 """Tests for transition functions, mean/volatility paths, and series synthesis."""
 
 import math
+import zlib
 
 import numpy as np
 import pytest
 
+from meanbreak import signals
 from meanbreak.signals import (
     MeanSpec,
     SigmaSpec,
@@ -222,6 +224,47 @@ class TestGaussianStream:
     def test_count_validation(self):
         with pytest.raises(ValueError):
             gaussian_stream(0, 0)
+
+
+class TestBulkStream:
+    """The engine's stream: keys derived in bulk, rows filled by one
+    generator, equal to ``gaussian_stream`` bit for bit."""
+
+    REPS = (0, 1, 2**32 - 1)
+
+    @pytest.mark.parametrize("master_seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 3])
+    @pytest.mark.parametrize("key", [1, 9, zlib.crc32(b"mydesign"), zlib.crc32(b"flat")])
+    def test_keys_equal_seed_sequence(self, master_seed, key):
+        prefix = (master_seed, key, 30)
+        keys = signals._philox_keys(prefix, self.REPS)
+        assert keys.shape == (3, 2) and keys.dtype == np.uint64
+        for row, r in zip(keys, self.REPS):
+            reference = np.random.SeedSequence([*prefix, r]).generate_state(2, np.uint64)
+            np.testing.assert_array_equal(row, reference)
+
+    @pytest.mark.parametrize("prefix", [(), (0,), (2**32,), (2**70 + 5, 0, 1, 7), (3, 2**40)])
+    def test_keys_for_any_prefix_length(self, prefix):
+        keys = signals._philox_keys(prefix, range(5))
+        for r, row in enumerate(keys):
+            reference = np.random.SeedSequence([*prefix, r]).generate_state(2, np.uint64)
+            np.testing.assert_array_equal(row, reference)
+
+    @pytest.mark.parametrize("reps", [[-1], [2**32]])
+    def test_replication_outside_one_word_rejected(self, reps):
+        with pytest.raises(ValueError, match="replication"):
+            signals._philox_keys((1, 1, 30), reps)
+
+    def test_negative_prefix_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            signals._philox_keys((-1, 1, 30), [0])
+
+    @pytest.mark.parametrize("n", [2, 30, 2**14 + 1])
+    def test_rows_equal_gaussian_stream(self, n):
+        reps = (0, 1, 2, 2**32 - 1)
+        rows = signals._gaussian_rows(signals._philox_keys((7, 4, n), reps), n)
+        assert rows.shape == (len(reps), n)
+        for row, r in zip(rows, reps):
+            np.testing.assert_array_equal(row, gaussian_stream((7, 4, n, r), n))
 
 
 class TestGenerateSeries:
