@@ -109,29 +109,40 @@ class _CusumRows(NamedTuple):
     points: np.ndarray  # (rows, n + 1) normalized CUSUM paths
 
 
-def _cusum_rows(y: np.ndarray) -> _CusumRows:
-    """Normalized CUSUM statistics of each row of a (rows x n) float64 array.
+def _centred_rows(y: np.ndarray, out: np.ndarray | None = None):
+    """Check, scale and centre each row of a (rows x n) float64 array.
 
-    The array is checked for non-finite values once and each row is centred
-    once.  Before centring, each row is scaled by the power of two that
-    brings max|y| into [0.5, 1): the scaling is exact, so results on
-    normal-range data are unchanged, and the sum of squares cannot overflow,
-    nor underflow unless a row varies by less than about 1e-150 of its
-    largest value.  The estimates are scaled back at the end.
+    Each row is scaled by the power of two that brings max|y| into
+    [0.5, 1): the scaling is exact, so results on normal-range data are
+    unchanged, and the sum of squares cannot overflow, nor underflow unless
+    a row varies by less than about 1e-150 of its largest value.  Returns
+    the centred rows (written to ``out`` if given), their scaled means, the
+    exponents that scale the estimates back, and the constant-row flags.
     """
     hi, lo = y.max(axis=1), y.min(axis=1)
     largest = np.maximum(hi, -lo)  # nan or inf if not finite
     if not np.isfinite(largest).all():
         bad = np.argwhere(~np.isfinite(y))[0][1]
         raise ValueError(f"series contains a non-finite value at index {bad}")
-    n = y.shape[1]
     exponent = np.frexp(largest)[1]
-    d = np.ldexp(y, -exponent[:, None])
+    d = np.ldexp(y, -exponent[:, None], out=out)
     # Extremes, not the variance: the mean of a constant row can leave
     # rounding residue, so such a row is centred on its first value instead.
     degenerate = hi == lo
     mu = np.where(degenerate, d[:, 0], d.mean(axis=1))
     d -= mu[:, None]
+    return d, mu, exponent, degenerate
+
+
+def _cusum_rows(y: np.ndarray) -> _CusumRows:
+    """Normalized CUSUM statistics of each row of a (rows x n) float64 array.
+
+    The array is checked for non-finite values once and each row is scaled
+    and centred once (:func:`_centred_rows`); the estimates are scaled back
+    at the end.
+    """
+    n = y.shape[1]
+    d, mu, exponent, degenerate = _centred_rows(y)
     sigma2 = np.vecdot(d, d) / n
     sigma = np.sqrt(sigma2)
     # Partial sums of centered values, then the exact-cancellation form
@@ -162,6 +173,33 @@ def _cusum_rows(y: np.ndarray) -> _CusumRows:
         degenerate=degenerate,
         points=points,
     )
+
+
+def _cusum_sup(y: np.ndarray) -> np.ndarray:
+    """``_cusum_rows(y).statistic`` to within a few ulps, nan on constant
+    rows, computed in ``y``, which it overwrites.
+
+    The Monte Carlo engine owns its blocks and needs only the statistic, so
+    this skips the path array, the break index and the estimates.  The sum
+    of squares is numpy's pairwise sum, not ``np.vecdot``: vecdot calls BLAS
+    ``ddot``, which above about 10,000 values wakes OpenBLAS helper threads
+    that keep spinning after the call, oversubscribing the process pool,
+    and whose bits depend on the thread count.  The two reductions differ by
+    a few ulps, and so do the two statistics.  ``_cusum_rows`` keeps vecdot
+    because the ``cli_test`` benchmark golden pins its bits; a change that
+    regenerates that golden can move it to this reduction and end the split.
+    """
+    n = y.shape[1]
+    d = _centred_rows(y, out=y)[0]
+    scratch = np.square(d)
+    sigma = np.sqrt(scratch.sum(axis=1) / n)
+    np.cumsum(d, axis=1, out=d)
+    d -= np.multiply(np.arange(1, n + 1) / n, d[:, -1:], out=scratch)
+    # Division by a positive number is monotone under rounding, so scaling
+    # the largest |S_k - (k/n) S_n| gives the largest scaled value exactly.
+    largest = np.maximum(d.max(axis=1), -d.min(axis=1))
+    with np.errstate(invalid="ignore"):  # a constant row is all zeros: 0 / 0
+        return largest / (math.sqrt(n) * sigma)
 
 
 def _cusum_row(series) -> _CusumRows:

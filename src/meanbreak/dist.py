@@ -17,15 +17,23 @@ __all__ = ["bridge_sup_cdf", "p_value", "bridge_sup_quantile"]
 # at most this many terms.
 _TRUNCATION_TOLERANCE = 1e-15
 _MAX_TERMS = 100
+# Below this z every theta term exp(-pi^2 / (8 z^2)) underflows to 0 (the
+# exponent is beyond -771), so the CDF is exactly 0.0; the series itself
+# would divide by zero once 8 z^2 underflows, near z = 1e-162.
+_CDF_ZERO_BELOW = 0.04
 
 
 def bridge_sup_cdf(z: float) -> float:
-    """P(sup |bridge| <= z).  Zero for z <= 0; clamped to [0, 1]."""
-    return _cdf(float(z))
+    """P(sup |bridge| <= z).  Zero for z < 0.04; clamped to [0, 1]; a nan z
+    raises ``ValueError``."""
+    z = float(z)
+    if math.isnan(z):
+        raise ValueError("z must be a number, got nan")
+    return _cdf(z)
 
 
 def _cdf(z: float) -> float:
-    if z <= 0.0:
+    if z < _CDF_ZERO_BELOW:
         return 0.0
     if z < 0.5:
         # The alternating series needs ~4/z terms at small z, so switch to
@@ -53,7 +61,7 @@ def _cdf(z: float) -> float:
 def p_value(statistic: float) -> float:
     """Asymptotic p-value 1 - F(statistic) of a nonnegative sup-statistic."""
     statistic = float(statistic)
-    if statistic < 0.0:
+    if not statistic >= 0.0:  # nan too
         raise ValueError(f"statistic must be nonnegative, got {statistic}")
     return min(max(1.0 - _cdf(statistic), 0.0), 1.0)
 

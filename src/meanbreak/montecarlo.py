@@ -210,10 +210,10 @@ def _cell_chunk(
             y = signals._gaussian_rows(keys[block_start:block_start + rows], n)
             y *= sigma  # y = mu + sigma * eps, in place
             y += mu
-            result = core._cusum_rows(y)
-            degenerate += int(result.degenerate.sum())
-            tested = result.statistic[~result.degenerate]
-            rejections += _rejections(tested, alphas, bands).sum(axis=0)
+            statistic = core._cusum_sup(y)
+            constant = np.isnan(statistic)
+            degenerate += int(constant.sum())
+            rejections += _rejections(statistic[~constant], alphas, bands).sum(axis=0)
     return rejections, degenerate
 
 

@@ -44,6 +44,16 @@ class TestQuantileAndPvalue:
         code, _, _ = run_cli(capsys, "pvalue", "-1")
         assert code == 2
 
+    def test_pvalue_of_subnormal_statistic(self, capsys):
+        code, out, _ = run_cli(capsys, "pvalue", "1e-320")
+        assert code == 0
+        assert out.strip() == "1.0000000"
+
+    def test_pvalue_nan_is_usage_error(self, capsys):
+        code, _, err = run_cli(capsys, "pvalue", "nan")
+        assert code == 2
+        assert "usage error" in err
+
 
 class TestUsage:
     def test_unknown_subcommand(self, capsys):

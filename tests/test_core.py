@@ -1,16 +1,22 @@
 """Tests for data transforms, null estimates, the CUSUM path, and the test."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import meanbreak
 from meanbreak import dist
 from meanbreak.core import (
     DegenerateSeriesError,
     _cusum_rows,
+    _cusum_sup,
     InsufficientDataError,
     absolute_transform,
     compute_returns,
@@ -18,6 +24,8 @@ from meanbreak.core import (
     lm_test,
     null_estimates,
 )
+from meanbreak.montecarlo import ExperimentConfig, run_experiment
+from meanbreak.signals import MeanSpec, SigmaSpec
 
 
 class TestComputeReturns:
@@ -224,6 +232,50 @@ class TestCusumRows:
             _cusum_rows(y)
         with pytest.raises(ValueError, match="non-finite value at index 4"):
             lm_test(y[2])
+
+
+class TestCusumSup:
+    """The Monte Carlo engine's statistic: ``_cusum_rows(y).statistic``
+    computed in place, with a sum of squares that calls no BLAS routine."""
+
+    @pytest.mark.parametrize("n", [2, 3, 30, 1001, 2**14 + 1, 100_000])
+    def test_matches_cusum_rows_within_4_ulps(self, n):
+        rng = np.random.default_rng(n)
+        y = rng.standard_normal((6, n)) + np.linspace(0.0, 1.0, n)
+        y[1] *= 1e-300
+        y[2] *= 1e300
+        y[3] = -2.5
+        ref = _cusum_rows(y).statistic
+        got = _cusum_sup(y.copy())
+        assert np.isnan(got[3]) and np.isnan(ref[3])
+        tested = [0, 1, 2, 4, 5]
+        assert np.all(np.abs(got[tested] - ref[tested]) <= 4 * np.spacing(ref[tested]))
+
+    def test_bits_do_not_depend_on_blas_threads(self):
+        # Above about 10,000 values a BLAS dot product splits over threads,
+        # and its bits change with the thread count.
+        code = (
+            "import numpy as np; from meanbreak.core import _cusum_sup; "
+            "y = np.random.default_rng(2024).standard_normal((3, 100_000)); "
+            "y += np.linspace(0.0, 0.05, 100_000); "
+            "print([float(s).hex() for s in _cusum_sup(y)])"
+        )
+        src = str(Path(meanbreak.__file__).resolve().parents[1])
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            proc = subprocess.run([sys.executable, "-c", code], env=env,
+                                  capture_output=True, text=True, timeout=60)
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1]
+
+    def test_overflowing_design_raises(self):
+        huge = ("huge", MeanSpec.constant(0.0), SigmaSpec.constant(1e308))
+        config = ExperimentConfig(series=(huge,), sample_sizes=(30,), replications=20)
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite value"):
+            run_experiment(config)
 
 
 finite_series = st.lists(

@@ -54,6 +54,15 @@ class TestCdf:
         assert bridge_sup_cdf(0.001) == 0.0
         assert bridge_sup_cdf(0.1) < 1e-40
 
+    def test_z_below_every_theta_term_is_zero(self):
+        # 8 z^2 underflows to 0 here: the series must not be evaluated.
+        assert bridge_sup_cdf(5e-324) == 0.0
+        assert bridge_sup_cdf(1e-200) == 0.0
+
+    def test_nan_rejected(self):
+        with pytest.raises(ValueError):
+            bridge_sup_cdf(math.nan)
+
 
 class TestPValue:
     def test_zero_statistic(self):
@@ -68,6 +77,13 @@ class TestPValue:
     def test_negative_statistic_rejected(self):
         with pytest.raises(ValueError):
             p_value(-0.1)
+
+    def test_smallest_statistic_has_p_value_one(self):
+        assert p_value(5e-324) == 1.0
+
+    def test_nan_statistic_rejected(self):
+        with pytest.raises(ValueError):
+            p_value(math.nan)
 
 
 class TestQuantile:
