@@ -175,9 +175,11 @@ def _cusum_rows(y: np.ndarray) -> _CusumRows:
     )
 
 
-def _cusum_sup(y: np.ndarray) -> np.ndarray:
+def _cusum_sup(y: np.ndarray, grid: np.ndarray | None = None) -> np.ndarray:
     """``_cusum_rows(y).statistic`` to within a few ulps, nan on constant
-    rows, computed in ``y``, which it overwrites.
+    rows, computed in ``y``, which it overwrites.  ``grid`` is k/n for
+    k = 1..n, built here when not given; a caller with many blocks of one
+    n builds it once.
 
     The Monte Carlo engine owns its blocks and needs only the statistic, so
     this skips the path array, the break index and the estimates.  The sum
@@ -194,7 +196,9 @@ def _cusum_sup(y: np.ndarray) -> np.ndarray:
     scratch = np.square(d)
     sigma = np.sqrt(scratch.sum(axis=1) / n)
     np.cumsum(d, axis=1, out=d)
-    d -= np.multiply(np.arange(1, n + 1) / n, d[:, -1:], out=scratch)
+    if grid is None:
+        grid = np.arange(1, n + 1) / n
+    d -= np.multiply(grid, d[:, -1:], out=scratch)
     # Division by a positive number is monotone under rounding, so scaling
     # the largest |S_k - (k/n) S_n| gives the largest scaled value exactly.
     largest = np.maximum(d.max(axis=1), -d.min(axis=1))

@@ -18,6 +18,7 @@ import csv
 import io
 import json
 import math
+import os
 import zlib
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -97,7 +98,9 @@ class ExperimentConfig:
     """Design of a rejection-frequency experiment.
 
     ``series`` entries are preset ids 1-9 or (label, MeanSpec, SigmaSpec)
-    triples for custom designs.
+    triples for custom designs.  ``workers`` is an upper bound: at most
+    ``os.cpu_count()`` pool processes run, and with one the replications
+    run in the calling process.
     """
 
     series: tuple = (1,)
@@ -197,6 +200,7 @@ def _cell_chunk(
     """
     mu = signals.mean_path(mean_spec, n)
     sigma = signals.sigma_path(sigma_spec, n)
+    grid = np.arange(1, n + 1) / n
     alphas = np.asarray(levels)
     rejections = np.zeros(len(levels), dtype=np.int64)
     degenerate = 0
@@ -210,7 +214,7 @@ def _cell_chunk(
             y = signals._gaussian_rows(keys[block_start:block_start + rows], n)
             y *= sigma  # y = mu + sigma * eps, in place
             y += mu
-            statistic = core._cusum_sup(y)
+            statistic = core._cusum_sup(y, grid)
             constant = np.isnan(statistic)
             degenerate += int(constant.sum())
             rejections += _rejections(statistic[~constant], alphas, bands).sum(axis=0)
@@ -226,7 +230,12 @@ def _chunk_bounds(replications: int, workers: int) -> list[tuple[int, int]]:
 
 
 def run_experiment(config: ExperimentConfig) -> RejectionTable:
-    """Run the configured experiment; output is identical for any worker count."""
+    """Run the configured experiment; output is identical for any worker count.
+
+    Pool workers fork (or spawn) all at once, so more processes than CPUs
+    would only start interpreters that wait for one.
+    """
+    processes = min(config.workers, os.cpu_count() or 1)
     table = RejectionTable(
         replications=config.replications, master_seed=config.master_seed
     )
@@ -235,14 +244,14 @@ def run_experiment(config: ExperimentConfig) -> RejectionTable:
     for entry in config.series:
         label, key, mean_spec, sigma_spec = _resolve(entry)
         for n in config.sample_sizes:
-            for start, stop in _chunk_bounds(config.replications, config.workers):
+            for start, stop in _chunk_bounds(config.replications, processes):
                 cells.append((label, n))
                 tasks.append((mean_spec, sigma_spec, n, key, config.master_seed,
                               config.levels, bands, start, stop))
-    if config.workers == 1:
+    if processes == 1:
         results = list(map(_cell_chunk, *zip(*tasks)))
     else:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
+        with ProcessPoolExecutor(max_workers=processes) as pool:
             results = list(pool.map(_cell_chunk, *zip(*tasks)))
     for (label, n), (rejections, degenerate) in zip(cells, results):
         for alpha, count in zip(config.levels, rejections):

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate
 from scipy.special import expit
 
 __all__ = [
@@ -235,6 +234,10 @@ def _sigma_at(spec: SigmaSpec, x: float) -> float:
 
 
 def _quad(fn, a: float, b: float, interior) -> float:
+    # Imported here, not at the top: scipy.integrate loads scipy.optimize,
+    # linalg, sparse and more, and no simulation integrates.
+    from scipy import integrate
+
     if b <= a:
         return 0.0
     points = [p for p in interior if a < p < b]

@@ -360,18 +360,39 @@ class TestCmdSimulate:
         assert "diagnostics" not in out
 
 
+def run_child(code):
+    """Standard output of ``code`` run in a fresh interpreter."""
+    src = str(Path(meanbreak.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
 class TestImports:
     def test_cli_import_leaves_scipy_out(self):
-        src = str(Path(meanbreak.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-c",
-             "import sys, meanbreak.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"],
-            env=env, capture_output=True, text=True, timeout=60,
+        code = ("import sys, meanbreak.cli; "
+                "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+        assert run_child(code) == "[]"
+
+    def test_simulation_leaves_quadrature_out(self):
+        # scipy.integrate loads on the first quadrature, never in a simulation.
+        code = (
+            "import sys; from meanbreak import montecarlo, signals\n"
+            "config = montecarlo.ExperimentConfig(series=tuple(range(1, 10)),"
+            " sample_sizes=(30,), replications=20, workers=1)\n"
+            "montecarlo.run_experiment(config)\n"
+            "print('scipy.integrate' in sys.modules)\n"
+            "value = signals.partial_variance_limit(montecarlo.preset(3)[1], 0.5)\n"
+            "print('scipy.integrate' in sys.modules, value.hex())\n"
         )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[]"
+        from meanbreak import montecarlo, signals
+
+        expected = signals.partial_variance_limit(montecarlo.preset(3)[1], 0.5)
+        assert run_child(code).splitlines() == ["False", f"True {expected.hex()}"]
 
     def test_lazy_package_names(self):
         from meanbreak import MeanSpec, SigmaSpec, montecarlo, run_experiment, signals

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -124,6 +125,30 @@ class TestRunExperiment:
         assert sequential.cells == parallel.cells
         assert emit_table(sequential, "csv") == emit_table(parallel, "csv")
         assert emit_table(sequential, "json") == emit_table(parallel, "json")
+
+    @pytest.mark.parametrize("cpus, pools", [(3, [3]), (None, [])])
+    def test_processes_capped_at_cpu_count(self, monkeypatch, cpus, pools):
+        # A fake pool records its size and maps inline: no process starts.
+        requested = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                requested.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        table = run_experiment(dataclasses.replace(SMALL, workers=10_000))
+        assert requested == pools
+        assert emit_table(table, "json") == emit_table(run_experiment(SMALL), "json")
 
     def test_monotone_in_alpha(self):
         table = run_experiment(SMALL)
