@@ -8,8 +8,8 @@ Exit codes: 0 = ran (regardless of the test decision), 2 = usage error,
 from __future__ import annotations
 
 import argparse
+import bisect
 import csv
-import functools
 import itertools
 import json
 import math
@@ -103,15 +103,15 @@ def load_column(path: str, column: str, date_column: str | None = None):
             skip = first_line if header else 0
             if not header:
                 fh.seek(0)
-            values = _read_values(fh, path, comma, col, skip)
+            values, blocks = _read_values(fh, path, comma, col, skip)
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     if not values.size:
         raise DataError(f"{path}: no usable rows in column {column!r}")
-    return values, DataRows(path, comma, skip, date_col)
+    return values, DataRows(path, comma, date_col, blocks)
 
 
-def _read_values(fh, path: str, comma: bool, col: int, number: int) -> np.ndarray:
+def _read_values(fh, path: str, comma: bool, col: int, number: int):
     """Convert column ``col`` of the rest of ``fh`` to float64, a block of
     lines at a time; ``number`` lines of the file have been read before.
 
@@ -120,29 +120,44 @@ def _read_values(fh, path: str, comma: bool, col: int, number: int) -> np.ndarra
     one and every bad row is named by its file line number.  Lines the bulk
     conversion rejects but ``float`` reads ("1_000", a whitespace-only line
     in a comma file) are read in that check.
+
+    Returns the values and, per block, its ``fh.tell()`` position and the
+    file lines and data rows before it (see :class:`DataRows`).
     """
     options = dict(
         usecols=col, comments=None, ndmin=1,
         delimiter="," if comma else None, quotechar='"' if comma else None,
     )
-    parts, bad, nonfinite = [], [], []
+    parts, blocks, bad, nonfinite = [], [], [], []
+    rows = 0
     with warnings.catch_warnings():  # a block of blank lines holds no data
         warnings.simplefilter("ignore", UserWarning)
-        for block in iter(functools.partial(fh.readlines, BLOCK_CHARS), []):
+        while True:
+            # Not readlines: it would disable tell().  Text mode has already
+            # turned "\r\n" and "\r" into "\n", so these are its lines.
+            position = fh.tell()
+            text = fh.read(BLOCK_CHARS)
+            if not text:
+                break
+            block = (text + fh.readline()).split("\n")
+            if not block[-1]:  # the text ended with a newline
+                block.pop()
             try:
                 values = np.loadtxt(block, **options)
             except ValueError:
                 values = None
             if values is None or not np.isfinite(values).all():
                 values = _check_cells(block, number, comma, col, bad, nonfinite)
+            blocks.append((position, number, rows))
             parts.append(values)
             number += len(block)
+            rows += len(values)
     reports = [_rows_report("rows failed to parse", bad)] if bad else []
     if nonfinite:
         reports.append(_rows_report("rows with non-finite values", nonfinite))
     if reports:
         raise DataError(f"{path}: " + "; ".join(reports))
-    return np.concatenate(parts) if parts else np.empty(0)
+    return (np.concatenate(parts) if parts else np.empty(0)), tuple(blocks)
 
 
 def _check_cells(lines, after, comma, col, bad, nonfinite) -> np.ndarray:
@@ -169,20 +184,25 @@ def _check_cells(lines, after, comma, col, bad, nonfinite) -> np.ndarray:
 @dataclass(frozen=True)
 class DataRows:
     """Finds data rows of a loaded file by reading it again, on demand: a
-    report names one row, so neither line numbers nor dates are kept."""
+    report names one row, so neither line numbers nor dates are kept.  A row
+    is found by seeking to its block, whose position and counts the reader
+    recorded."""
 
     path: str
     comma: bool
-    skip: int  # lines before the first data row
     date_col: int | None
+    blocks: tuple  # (fh.tell() position, file lines before, data rows before)
 
     def _locate(self, index: int) -> tuple[int, str]:
         """File line number and text of data row ``index`` (0-based)."""
+        block = bisect.bisect_right(self.blocks, index, key=lambda b: b[2]) - 1
+        position, before, rows_before = self.blocks[block]
         try:
             with open(self.path, "r", encoding="utf-8") as fh:
-                lines = enumerate(itertools.islice(fh, self.skip, None), self.skip + 1)
+                fh.seek(position)
+                lines = enumerate(fh, before + 1)
                 rows = ((number, line) for number, line in lines if line.strip())
-                return next(itertools.islice(rows, index, None))
+                return next(itertools.islice(rows, index - rows_before, None))
         except (OSError, UnicodeDecodeError) as exc:
             raise DataError(f"cannot read {self.path}: {exc}") from exc
 

@@ -49,11 +49,14 @@ def _cdf(z: float) -> float:
             if term < _TRUNCATION_TOLERANCE:
                 break
         return min(max(total, 0.0), 1.0)
+    # Each term's exp serves first as the stopping check of the term before.
     total = 1.0
+    term = 2.0 * math.exp(-2.0 * z * z)
     for k in range(1, _MAX_TERMS + 1):
-        total += 2.0 * (-1.0) ** k * math.exp(-2.0 * k * k * z * z)
+        total += -term if k % 2 else term
         nxt = k + 1
-        if 2.0 * math.exp(-2.0 * nxt * nxt * z * z) < _TRUNCATION_TOLERANCE:
+        term = 2.0 * math.exp(-2.0 * nxt * nxt * z * z)
+        if term < _TRUNCATION_TOLERANCE:
             break
     return min(max(total, 0.0), 1.0)
 

@@ -59,7 +59,16 @@ def transition(spec: TransitionSpec, x):
     Logistic: 1 / (1 + exp(-gamma (x - tau1))).
     Exponential: 1 - exp(-gamma (x - tau1)^2).
     Both are evaluated in overflow-safe form.
+
+    A Python float (what quadrature passes, once per node) is evaluated
+    without a 0-d array, to the same bits: the square stays ``** 2``, which
+    is C ``pow`` as on a numpy float64 scalar; ``d * d`` rounds differently.
     """
+    if isinstance(x, float):
+        d = x - spec.tau1
+        if spec.family == "logistic":
+            return float(expit(spec.gamma * d))
+        return float(-np.expm1(-spec.gamma * d ** 2))
     arr = np.asarray(x, dtype=np.float64)
     if spec.family == "logistic":
         out = expit(spec.gamma * (arr - spec.tau1))

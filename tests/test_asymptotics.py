@@ -38,6 +38,21 @@ class TestDriftQuadrature:
             drift_quadrature(spec, 1.1)
 
 
+    # Values recorded before quadrature integrands took Python floats
+    # (x86-64 Linux, glibc libm); the scalar transition path must reproduce
+    # them bit for bit.
+    @pytest.mark.parametrize("family, tau1, gamma, tau, expected", [
+        ("logistic", 0.5, 20.0, 0.3, "-0x1.315899c32ea8ep-3"),
+        ("logistic", 0.2, 100.0, 0.77, "-0x1.78d4fdf45d140p-5"),
+        ("exponential", 0.5, 20.0, 0.3, "0x1.406477623434ap-4"),
+        ("exponential", 0.8, 100.0, 0.61, "0x1.b73493b6b4e70p-4"),
+        ("exponential", 0.2, 1e4, 0.5, "-0x1.22661a4eeadc0p-7"),
+    ])
+    def test_recorded_bits(self, family, tau1, gamma, tau, expected):
+        spec = TransitionSpec(family, tau1, gamma)
+        assert drift_quadrature(spec, tau).hex() == expected
+
+
 class TestClosedForms:
     def test_logistic_examples_match_quadrature(self):
         cases = [((0.5, 20.0), 0.25), ((0.3, 50.0), 0.7)]
@@ -102,6 +117,16 @@ class TestLimitVariances:
         spec = TransitionSpec("exponential", 0.5, 1e-12)
         lv = limit_variance_smooth(spec, 1.0, 2.0, 1.0)
         assert lv.sigma_star2 == pytest.approx(1.0, abs=1e-9)
+
+    # Recorded as the drift values in TestDriftQuadrature.test_recorded_bits.
+    @pytest.mark.parametrize("family, tau1, gamma, expected", [
+        ("logistic", 0.5, 20.0, "0x1.33337f5d6fa6cp+0"),
+        ("exponential", 0.2, 100.0, "0x1.1814347014161p+0"),
+        ("exponential", 0.8, 1e4, "0x1.0320c8808b1bfp+0"),
+    ])
+    def test_smooth_recorded_bits(self, family, tau1, gamma, expected):
+        spec = TransitionSpec(family, tau1, gamma)
+        assert limit_variance_smooth(spec, 1.0, 2.0, 1.0).sigma_star2.hex() == expected
 
     @given(
         tau1=st.floats(min_value=0.01, max_value=0.99),

@@ -149,6 +149,37 @@ class TestCmdTest:
         values, _ = cli.load_column(str(f), "value")
         assert values.tolist() == [float(v) for v in lines[1:] if v.strip()]
 
+    @pytest.mark.parametrize("block_chars", [61, 64, 67])
+    def test_rows_found_by_block(self, tmp_path, monkeypatch, block_chars):
+        monkeypatch.setattr(cli, "BLOCK_CHARS", block_chars)  # about five lines a block
+        lines = ["date,price"] + [f"2020-{k:04d},{k + 1}.5" for k in range(120)]
+        lines[7] = " "
+        lines[40:40] = ["", "   ", "\t"] * 30  # more than a block of blank lines
+        f = tmp_path / "r.csv"
+        f.write_bytes("\r\n".join(lines).encode() + b"\r\n")
+        values, rows = cli.load_column(str(f), "price", "date")
+        expected = [
+            (number, line.split(",")[0])
+            for number, line in enumerate(lines, 1) if number > 1 and line.strip()
+        ]
+        assert len(values) == len(expected)
+        counts = [rows_before for _, _, rows_before in rows.blocks]
+        assert any(a == b for a, b in zip(counts, counts[1:]))  # a block without rows
+        for index, (number, date) in enumerate(expected):
+            assert rows.line(index) == number
+            assert rows.date(index) == date
+
+    def test_offending_level_across_blocks(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "BLOCK_CHARS", 64)
+        lines = ["price"] + [f"{k + 1}.25" for k in range(200)]
+        lines[30:30] = [""] * 70
+        lines[183] = "-1.0"
+        f = tmp_path / "r.txt"
+        f.write_text("\n".join(lines) + "\n")
+        code, _, err = run_cli(capsys, "test", str(f), "--kind", "levels", "--column", "price")
+        assert code == 3
+        assert err.endswith("(offending row 184)\n")
+
     @pytest.mark.parametrize("text, args, break_date", [
         ('date,price\n"Jan 1, 2020",1\n"Jan 2, 2020","1"\n"Jan 3, 2020",3\n',
          ("--column", "price", "--date-column", "date"), "Jan 2, 2020"),

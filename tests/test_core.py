@@ -285,6 +285,14 @@ finite_series = st.lists(
 ).filter(lambda xs: np.asarray(xs).std() > 1e-6)
 
 
+def assert_attains_max(y, break_index):
+    """``break_index`` attains max |B(k/n)| of ``y`` to within float
+    resolution: a transformed series may pick either side of a near-tie.
+    Where the maximum is unique, only the argmax passes."""
+    path = np.abs(cusum_path(y).points)
+    assert path[break_index] >= path.max() * (1.0 - 1e-9)
+
+
 class TestProperties:
     @given(
         ys=finite_series,
@@ -299,7 +307,7 @@ class TestProperties:
         other = lm_test(a + sign * b * y)
         assert other.statistic == pytest.approx(base.statistic, rel=1e-9, abs=1e-9)
         assert other.p_value == pytest.approx(base.p_value, rel=1e-9, abs=1e-12)
-        assert other.break_index == base.break_index
+        assert_attains_max(y, other.break_index)
 
     @given(
         ys=finite_series,
@@ -313,7 +321,7 @@ class TestProperties:
         other = lm_test(sign * 10.0**exponent * y)
         assert other.statistic == pytest.approx(base.statistic, rel=1e-9, abs=1e-9)
         assert other.p_value == pytest.approx(base.p_value, rel=1e-9, abs=1e-12)
-        assert other.break_index == base.break_index
+        assert_attains_max(y, other.break_index)
 
     @given(ys=finite_series)
     @settings(max_examples=150, deadline=None)

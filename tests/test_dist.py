@@ -50,6 +50,24 @@ class TestCdf:
             )
             assert bridge_sup_cdf(z) == pytest.approx(ref, abs=1e-13)
 
+    def test_same_bits_as_two_exp_loop(self):
+        # The alternating series as first written, one exp for the term and
+        # one for the stopping check; the series now reuses the check's exp
+        # as the next term, which must not change a bit.
+        def two_exp_series(z):
+            total = 1.0
+            for k in range(1, 101):
+                total += 2.0 * (-1.0) ** k * math.exp(-2.0 * k * k * z * z)
+                nxt = k + 1
+                if 2.0 * math.exp(-2.0 * nxt * nxt * z * z) < 1e-15:
+                    break
+            return min(max(total, 0.0), 1.0)
+
+        rng = np.random.default_rng(21)
+        grid = np.concatenate((rng.uniform(0.5, 4.0, 20_000), np.linspace(0.5, 7.0, 5001)))
+        for z in grid.tolist():
+            assert bridge_sup_cdf(z).hex() == two_exp_series(z).hex()
+
     def test_tiny_z_is_essentially_zero(self):
         assert bridge_sup_cdf(0.001) == 0.0
         assert bridge_sup_cdf(0.1) < 1e-40

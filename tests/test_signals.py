@@ -51,6 +51,27 @@ class TestTransition:
         # rounds up to exactly 1.0
         assert np.all((exponential >= 0.0) & (exponential <= 1.0))
 
+    @pytest.mark.parametrize("family", ["logistic", "exponential"])
+    def test_float_input_same_bits_as_array_arithmetic(self, family):
+        # A 0-d array runs the array path with numpy-scalar arithmetic, where
+        # ``** 2`` is C pow; an array of one element would square by
+        # multiplication (numpy's fast ``** 2``), which rounds differently.
+        tau1 = 0.37
+        grid = np.random.default_rng(20).uniform(-0.5, 1.5, 40_000).tolist()
+        # Points where d * d and d ** 2 round differently; at these, a scalar
+        # path squaring by multiplication changes some outputs.
+        split = [x for x in grid if (x - tau1) * (x - tau1) != (x - tau1) ** 2]
+        slope3 = TransitionSpec("exponential", tau1, 3.0)
+        assert any(
+            -np.expm1(-3.0 * ((x - tau1) * (x - tau1))) != transition(slope3, x) for x in split
+        )
+        for gamma in np.geomspace(0.5, 1e4, 12).tolist():
+            spec = TransitionSpec(family, tau1, gamma)
+            for x in grid[:2000] + split:
+                got = transition(spec, x)
+                assert type(got) is float
+                assert got.hex() == float(transition(spec, np.array(x))).hex()
+
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             TransitionSpec("triangular", 0.5, 1.0)
