@@ -10,6 +10,7 @@ is the ground truth throughout).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -35,10 +36,15 @@ def drift_quadrature(spec: TransitionSpec, tau: float) -> float:
     tau = float(tau)
     if not 0.0 <= tau <= 1.0:
         raise ValueError(f"tau must lie in [0, 1], got {tau}")
-    fn = lambda x: transition(spec, x)
-    i_tau = _quad(fn, 0.0, tau, [spec.tau1])
-    i_one = _quad(fn, 0.0, 1.0, [spec.tau1])
-    return i_tau - tau * i_one
+    i_tau = _quad(lambda x: transition(spec, x), 0.0, tau, [spec.tau1])
+    return i_tau - tau * _mean_transition(spec)
+
+
+@functools.lru_cache(maxsize=256)
+def _mean_transition(spec: TransitionSpec) -> float:
+    """int_0^1 F by quadrature, once per transition: a drift grid needs it at
+    every tau.  The spec is frozen, and equal specs give the same bits."""
+    return _quad(lambda x: transition(spec, x), 0.0, 1.0, [spec.tau1])
 
 
 def drift_closed_logistic(tau1: float, gamma: float, tau: float) -> float:
@@ -105,9 +111,8 @@ def limit_variance_smooth(
     mean transition F."""
     if sigma_bar2 <= 0.0:
         raise ValueError("sigma_bar2 must be positive")
-    f = lambda x: transition(spec, x)
-    mean_f = _quad(f, 0.0, 1.0, [spec.tau1])
-    mean_f2 = _quad(lambda x: f(x) ** 2, 0.0, 1.0, [spec.tau1])
+    mean_f = _mean_transition(spec)
+    mean_f2 = _quad(lambda x: transition(spec, x) ** 2, 0.0, 1.0, [spec.tau1])
     shift = (mu2 - mu1) ** 2 * max(mean_f2 - mean_f**2, 0.0)
     return LimitVariance(sigma_star2=sigma_bar2 + shift, sigma_bar2=sigma_bar2, shift_term=shift)
 

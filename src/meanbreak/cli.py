@@ -30,6 +30,7 @@ EXIT_DATA = 3
 
 PVALUE_FLOOR = 1e-12
 BLOCK_CHARS = 1 << 20  # characters of a data file converted per bulk call
+CONFIG_KEYS = ("series", "n", "alpha", "reps", "seed", "workers")  # simulate --config
 
 
 class DataError(Exception):
@@ -297,7 +298,12 @@ def _read_config_file(path: str) -> dict[str, str]:
         if sep is None:
             raise DataError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
         key, _, value = line.partition(sep)
-        options[key.strip()] = value.strip()
+        key = key.strip()
+        if key not in CONFIG_KEYS:
+            raise DataError(
+                f"{path}:{lineno}: unknown key {key!r}; accepted keys: {', '.join(CONFIG_KEYS)}"
+            )
+        options[key] = value.strip()
     return options
 
 
@@ -360,15 +366,18 @@ def _print_diagnostics(config: montecarlo.ExperimentConfig) -> None:
     taus = (0.25, 0.5, 0.75)
     n = max(config.sample_sizes)
     reps = min(config.replications, 500)
+    points = [int(t * n) for t in taus]
+    rows = max(1, montecarlo._BLOCK_ELEMENTS // n)  # bounds a block's memory
     for key in config.series:
         _, sigma_spec = montecarlo.preset(key)
         sigma_bar2 = signals.ergodic_variance_limit(sigma_spec)
         path = signals.sigma_path(sigma_spec, n)
-        samples = np.empty((reps, len(taus)))
-        for r in range(reps):
-            eps = signals.gaussian_stream((config.master_seed, key, n, r), n)
-            wn = asymptotics.wn_path(path * eps, sigma_bar2)
-            samples[r] = [wn[int(t * n)] for t in taus]
+        keys = signals._philox_keys((config.master_seed, key, n), range(reps))
+        samples = np.array([
+            asymptotics.wn_path(path * eps, sigma_bar2)[points]
+            for start in range(0, reps, rows)
+            for eps in signals._gaussian_rows(keys[start:start + rows], n)
+        ])
         print(f"FCLT diagnostics, Series {key} (n={n}, reps={reps}):", file=sys.stderr)
         for i, tau in enumerate(taus):
             limit = asymptotics.partial_variance_limit(sigma_spec, tau) / sigma_bar2

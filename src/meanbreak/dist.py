@@ -61,6 +61,34 @@ def _cdf(z: float) -> float:
     return min(max(total, 0.0), 1.0)
 
 
+def _pdf(z: float) -> float:
+    """Density F'(z): ``_cdf``'s two series differentiated term by term,
+    with the same branches and stopping rule."""
+    if z < _CDF_ZERO_BELOW:
+        return 0.0
+    if z < 0.5:
+        # d/dz (c / z) exp(-a / z^2) = (c / z) exp(-a / z^2) (2 a / z^2 - 1) / z
+        factor = math.sqrt(2.0 * math.pi) / z
+        total = 0.0
+        for k in range(1, _MAX_TERMS + 1):
+            exponent = (2 * k - 1) ** 2 * math.pi**2 / (8.0 * z * z)
+            term = factor * math.exp(-exponent)
+            total += term * (2.0 * exponent - 1.0) / z
+            if term < _TRUNCATION_TOLERANCE:
+                break
+        return total
+    # d/dz 2 exp(-2 k^2 z^2) = -4 k^2 z * 2 exp(-2 k^2 z^2)
+    total = 0.0
+    term = 2.0 * math.exp(-2.0 * z * z)
+    for k in range(1, _MAX_TERMS + 1):
+        total += 4.0 * k * k * z * (term if k % 2 else -term)
+        nxt = k + 1
+        term = 2.0 * math.exp(-2.0 * nxt * nxt * z * z)
+        if term < _TRUNCATION_TOLERANCE:
+            break
+    return total
+
+
 def p_value(statistic: float) -> float:
     """Asymptotic p-value 1 - F(statistic) of a nonnegative sup-statistic."""
     statistic = float(statistic)
@@ -70,19 +98,42 @@ def p_value(statistic: float) -> float:
 
 
 def bridge_sup_quantile(p: float) -> float:
-    """Inverse CDF by bracketing and bisection on the monotone CDF."""
+    """Inverse CDF by Newton steps kept inside a bisection bracket (rtsafe).
+
+    A step that would leave the bracket, or that does not halve the step
+    before the last one, is replaced by bisection: in the convex lower tail,
+    where F ~ exp(-pi^2 / (8 z^2)), plain Newton crawls.  Above p = 0.5 the
+    start is the one-term tail inverse sqrt(ln(2 / (1 - p)) / 2), at or
+    just above the root.  Stops at a zero residual or a step below 1e-14.
+    """
     p = float(p)
     if not 0.0 < p < 1.0:
         raise ValueError(f"probability must lie in (0, 1), got {p}")
-    lo, hi = 0.0, 1.0
+    lo, hi = 0.0, 1.0  # F(lo) < p <= F(hi)
     while _cdf(hi) < p:
-        hi *= 2.0
+        lo, hi = hi, 2.0 * hi
+    z = math.sqrt(math.log(2.0 / (1.0 - p)) / 2.0) if p > 0.5 else 0.5 * (lo + hi)
+    if not lo < z < hi:
+        z = 0.5 * (lo + hi)
+    step = before = hi - lo
     for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if _cdf(mid) < p:
-            lo = mid
+        residual = _cdf(z) - p
+        if residual == 0.0:
+            return z
+        if residual < 0.0:
+            lo = z
         else:
-            hi = mid
-        if hi - lo < 1e-14:
+            hi = z
+        slope = _pdf(z)
+        newton = residual / slope if slope > 0.0 else math.inf
+        # z is an end of the bracket now, and a last step can round back to
+        # it, so the bracket test includes its ends.
+        if lo <= z - newton <= hi and abs(newton) <= 0.5 * abs(before):
+            before, step = step, newton
+            z -= step
+        else:
+            before, step = step, 0.5 * (hi - lo)
+            z = lo + step
+        if abs(step) < 1e-14:
             break
-    return 0.5 * (lo + hi)
+    return z

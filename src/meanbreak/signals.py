@@ -51,6 +51,11 @@ class TransitionSpec:
             raise ValueError(f"tau1 must lie in (0, 1), got {self.tau1}")
         if not self.gamma > 0.0:
             raise ValueError(f"gamma must be positive, got {self.gamma}")
+        # Stored as Python floats: a spec is a memo key in asymptotics, so it
+        # must hash (a 0-d array would not), and equal specs must compute
+        # the same bits.
+        object.__setattr__(self, "tau1", float(self.tau1))
+        object.__setattr__(self, "gamma", float(self.gamma))
 
 
 def transition(spec: TransitionSpec, x):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from meanbreak import asymptotics
 from meanbreak.asymptotics import (
     drift_closed_exponential,
     drift_closed_logistic,
@@ -51,6 +52,37 @@ class TestDriftQuadrature:
     def test_recorded_bits(self, family, tau1, gamma, tau, expected):
         spec = TransitionSpec(family, tau1, gamma)
         assert drift_quadrature(spec, tau).hex() == expected
+
+    def test_mean_of_transition_integrated_once(self, monkeypatch):
+        # int_0^1 F is memoised per spec: a 99-point drift grid integrates
+        # it once, and an equal spec built separately reuses the value.
+        quad, spans = asymptotics._quad, []
+
+        def counting_quad(fn, a, b, interior):
+            spans.append((a, b))
+            return quad(fn, a, b, interior)
+
+        monkeypatch.setattr(asymptotics, "_quad", counting_quad)
+        asymptotics._mean_transition.cache_clear()
+        spec = TransitionSpec("exponential", 0.35, 40.0)
+        grid = np.linspace(0.01, 0.99, 99).tolist()
+        first = [drift_quadrature(spec, t).hex() for t in grid]
+        assert len(spans) == 100
+        assert spans.count((0.0, 1.0)) == 1
+
+        twin = TransitionSpec("exponential", 0.35, 40.0)
+        assert twin is not spec
+        assert [drift_quadrature(twin, t).hex() for t in grid] == first
+        assert spans.count((0.0, 1.0)) == 1
+        # limit_variance_smooth integrates only F^2 over [0, 1] itself.
+        limit_variance_smooth(twin, 1.0, 2.0, 1.0)
+        assert spans.count((0.0, 1.0)) == 2
+
+    def test_spec_from_numpy_scalars_is_a_memo_key(self):
+        plain = TransitionSpec("logistic", 0.5, 20.0)
+        numpy_args = TransitionSpec("logistic", np.asarray(0.5), np.int64(20))
+        assert numpy_args == plain and hash(numpy_args) == hash(plain)
+        assert drift_quadrature(numpy_args, 0.3).hex() == drift_quadrature(plain, 0.3).hex()
 
 
 class TestClosedForms:

@@ -370,6 +370,16 @@ class TestCmdSimulate:
         assert code == 3
         assert "key" in err
 
+    def test_unknown_config_key(self, tmp_path, capsys):
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text("series = 1\nn = 50\n# a comment\nreplications = 7\n")
+        code, out, err = run_cli(capsys, "simulate", "--config", str(cfg))
+        assert code == 3
+        assert out == ""
+        assert f"{cfg}:4:" in err
+        assert "'replications'" in err
+        assert "series, n, alpha, reps, seed, workers" in err
+
     def test_text_format_layout(self, capsys):
         code, out, _ = run_cli(
             capsys, "simulate", "--series", "1", "--series", "4",
@@ -389,6 +399,21 @@ class TestCmdSimulate:
         assert code == 0
         assert "diagnostics" in err
         assert "diagnostics" not in out
+
+    def test_diagnostics_recorded_output(self, capsys):
+        # Recorded when each replication drew its own gaussian_stream; the
+        # bulk draw must reproduce it byte for byte.
+        code, _, err = run_cli(
+            capsys, "simulate", "--series", "3", "--n", "200", "--reps", "50",
+            "--seed", "1", "--workers", "1", "--format", "csv", "--diagnostics",
+        )
+        assert code == 0
+        assert err == (
+            "FCLT diagnostics, Series 3 (n=200, reps=50):\n"
+            "  var W(0.25) = 0.0801  limit 0.1524\n"
+            "  var W(0.5) = 0.2241  limit 0.3064\n"
+            "  var W(0.75) = 0.5544  limit 0.5557\n"
+        )
 
 
 def run_child(code):

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from meanbreak import dist
 from meanbreak.dist import bridge_sup_cdf, bridge_sup_quantile, p_value
 
 
@@ -119,3 +120,71 @@ class TestQuantile:
         for p in (0.0, 1.0, -0.5, 1.5):
             with pytest.raises(ValueError):
                 bridge_sup_quantile(p)
+
+
+def bisection_quantile(p):
+    """The quantile as it was computed before Newton steps: bisection of
+    the bracket to a width of 1e-14."""
+    lo, hi = 0.0, 1.0
+    while bridge_sup_cdf(hi) < p:
+        hi *= 2.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if bridge_sup_cdf(mid) < p:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo < 1e-14:
+            break
+    return 0.5 * (lo + hi)
+
+
+class TestQuantileContract:
+    """What montecarlo._critical_bands relies on: its _TALLY_MARGIN assumes
+    the quantile is within about 1e-14 in probability."""
+
+    @pytest.fixture(scope="class")
+    def grid(self):
+        rng = np.random.default_rng(29)
+        p = np.unique(np.concatenate((
+            10.0 ** -rng.uniform(1.0, 300.0, 300),  # lower tail
+            rng.uniform(0.0, 1.0, 1000),
+            1.0 - 10.0 ** -rng.uniform(1.0, 15.5, 300),  # upper tail
+        ))).tolist()
+        return p, [bridge_sup_quantile(x) for x in p]
+
+    def test_within_1e_14_in_probability(self, grid):
+        for p, q in zip(*grid):
+            assert abs(bridge_sup_cdf(q) - p) <= 1e-14, p
+
+    def test_non_decreasing(self, grid):
+        q = grid[1]
+        assert all(a <= b for a, b in zip(q, q[1:]))
+
+    def test_seven_decimals_of_bisection(self, grid):
+        # Above about 1 - 1e-6 the quantile is ill-conditioned: F resolves
+        # 1.1e-16, which moves z by 1e-16 / f(z).
+        for p, q in zip(*grid):
+            if 1e-300 <= p <= 1.0 - 1e-6:
+                assert f"{q:.7f}" == f"{bisection_quantile(p):.7f}", p
+
+    @pytest.mark.parametrize("p", [5e-324, 1e-320, 1.0 - 2.0**-53])
+    def test_extremes_converge(self, monkeypatch, p):
+        calls = []
+        cdf = dist._cdf
+        monkeypatch.setattr(dist, "_cdf", lambda z: calls.append(z) or cdf(z))
+        q = bridge_sup_quantile(p)
+        assert len(calls) < 80  # well before the iteration cap
+        assert 0.04 < q < 5.0
+        assert abs(cdf(q) - p) <= 1e-14
+
+    def test_pdf_is_derivative_of_cdf(self):
+        grid = np.concatenate((np.linspace(0.045, 3.0, 400), [0.4999, 0.5, 0.5001]))
+        for z in grid.tolist():
+            h = 1e-6 * z
+            central = (bridge_sup_cdf(z + h) - bridge_sup_cdf(z - h)) / (2.0 * h)
+            assert dist._pdf(z) == pytest.approx(central, rel=1e-5, abs=1e-10), z
+
+    def test_pdf_zero_where_cdf_is(self):
+        for z in (-1.0, 0.0, 0.039):
+            assert dist._pdf(z) == 0.0
