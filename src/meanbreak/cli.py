@@ -140,14 +140,16 @@ def _read_values(fh, path: str, comma: bool, col: int, number: int):
             text = fh.read(BLOCK_CHARS)
             if not text:
                 break
-            block = (text + fh.readline()).split("\n")
+            text += fh.readline()
+            block = text.split("\n")
             if not block[-1]:  # the text ended with a newline
                 block.pop()
             try:
                 values = np.loadtxt(block, **options)
             except ValueError:
                 values = None
-            if values is None or not np.isfinite(values).all():
+            if (values is None or not np.isfinite(values).all()
+                    or (comma and '"' in text and not _rows_are_lines(block, len(values)))):
                 values = _check_cells(block, number, comma, col, bad, nonfinite)
             blocks.append((position, number, rows))
             parts.append(values)
@@ -161,24 +163,53 @@ def _read_values(fh, path: str, comma: bool, col: int, number: int):
     return (np.concatenate(parts) if parts else np.empty(0)), tuple(blocks)
 
 
+def _rows_are_lines(lines, rows: int) -> bool:
+    """Whether the bulk conversion read its ``rows`` rows of comma ``lines``
+    one per non-empty line (it skips empty lines and rejects blank ones).  A
+    quote still open at the end of a line takes the next lines into its row,
+    or, on the last line, runs to the end."""
+    last = next((line for line in reversed(lines) if line), "")
+    reader = csv.reader([last, ""])
+    next(reader)
+    return rows == len(lines) - lines.count("") and reader.line_num == 1
+
+
 def _check_cells(lines, after, comma, col, bad, nonfinite) -> np.ndarray:
     """Parse column ``col`` of ``lines``, which follow file line ``after``;
-    append the file line numbers of bad and non-finite cells to those lists."""
-    stripped = (line.strip() for line in lines)
-    rows = csv.reader(stripped) if comma else (line.split() for line in stripped)
+    append the file line numbers of bad and non-finite cells to those lists.
+
+    A row is one line: a quote still open at the end of a line makes that
+    line bad, and reading starts again on the next line.  A csv reader shows
+    it by a ``line_num`` past the row's line; the blank line appended shows
+    it on the last line.  Only trailing whitespace is stripped, so a quote
+    after leading blanks is a character, as in the bulk conversion.
+    """
+    lines = [line.rstrip() for line in lines] + [""]
     values = []
-    for number, cells in enumerate(rows, start=after + 1):
-        if not cells:
-            continue
-        try:
-            value = float(cells[col])
-        except (IndexError, ValueError):
-            bad.append(number)
-            continue
-        if math.isfinite(value):
-            values.append(value)
+    start = 0
+    while start < len(lines):
+        # Not islice: it would step over the ``start`` lines at every restart.
+        source = map(lines.__getitem__, range(start, len(lines)))
+        rows = csv.reader(source) if comma else (line.split() for line in source)
+        for index, cells in enumerate(rows, start):
+            number = after + 1 + index
+            if comma and start + rows.line_num > index + 1:
+                bad.append(number)
+                start = index + 1
+                break
+            if not cells:
+                continue
+            try:
+                value = float(cells[col])
+            except (IndexError, ValueError):
+                bad.append(number)
+                continue
+            if math.isfinite(value):
+                values.append(value)
+            else:
+                nonfinite.append(number)
         else:
-            nonfinite.append(number)
+            break
     return np.array(values)
 
 
@@ -303,6 +334,8 @@ def _read_config_file(path: str) -> dict[str, str]:
             raise DataError(
                 f"{path}:{lineno}: unknown key {key!r}; accepted keys: {', '.join(CONFIG_KEYS)}"
             )
+        if key in options:
+            raise DataError(f"{path}:{lineno}: key {key!r} is set twice")
         options[key] = value.strip()
     return options
 
@@ -367,16 +400,14 @@ def _print_diagnostics(config: montecarlo.ExperimentConfig) -> None:
     n = max(config.sample_sizes)
     reps = min(config.replications, 500)
     points = [int(t * n) for t in taus]
-    rows = max(1, montecarlo._BLOCK_ELEMENTS // n)  # bounds a block's memory
     for key in config.series:
         _, sigma_spec = montecarlo.preset(key)
         sigma_bar2 = signals.ergodic_variance_limit(sigma_spec)
         path = signals.sigma_path(sigma_spec, n)
-        keys = signals._philox_keys((config.master_seed, key, n), range(reps))
+        blocks = signals.noise_blocks((config.master_seed, key, n), range(reps), n)
         samples = np.array([
             asymptotics.wn_path(path * eps, sigma_bar2)[points]
-            for start in range(0, reps, rows)
-            for eps in signals._gaussian_rows(keys[start:start + rows], n)
+            for block in blocks for eps in block
         ])
         print(f"FCLT diagnostics, Series {key} (n={n}, reps={reps}):", file=sys.stderr)
         for i, tau in enumerate(taus):

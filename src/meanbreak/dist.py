@@ -32,9 +32,12 @@ def bridge_sup_cdf(z: float) -> float:
     return _cdf(z)
 
 
-def _cdf(z: float) -> float:
+def _cdf(z: float, density: bool = False):
+    """F(z), or (F(z), F'(z)) with ``density``: each series is walked once,
+    and F' is its term-by-term derivative from the same ``exp`` terms."""
     if z < _CDF_ZERO_BELOW:
-        return 0.0
+        return (0.0, 0.0) if density else 0.0
+    slope = 0.0
     if z < 0.5:
         # The alternating series needs ~4/z terms at small z, so switch to
         # the dual theta representation, which converges in a term or two
@@ -42,51 +45,29 @@ def _cdf(z: float) -> float:
         factor = math.sqrt(2.0 * math.pi) / z
         total = 0.0
         for k in range(1, _MAX_TERMS + 1):
-            term = factor * math.exp(
-                -((2 * k - 1) ** 2) * math.pi**2 / (8.0 * z * z)
-            )
-            total += term
-            if term < _TRUNCATION_TOLERANCE:
-                break
-        return min(max(total, 0.0), 1.0)
-    # Each term's exp serves first as the stopping check of the term before.
-    total = 1.0
-    term = 2.0 * math.exp(-2.0 * z * z)
-    for k in range(1, _MAX_TERMS + 1):
-        total += -term if k % 2 else term
-        nxt = k + 1
-        term = 2.0 * math.exp(-2.0 * nxt * nxt * z * z)
-        if term < _TRUNCATION_TOLERANCE:
-            break
-    return min(max(total, 0.0), 1.0)
-
-
-def _pdf(z: float) -> float:
-    """Density F'(z): ``_cdf``'s two series differentiated term by term,
-    with the same branches and stopping rule."""
-    if z < _CDF_ZERO_BELOW:
-        return 0.0
-    if z < 0.5:
-        # d/dz (c / z) exp(-a / z^2) = (c / z) exp(-a / z^2) (2 a / z^2 - 1) / z
-        factor = math.sqrt(2.0 * math.pi) / z
-        total = 0.0
-        for k in range(1, _MAX_TERMS + 1):
             exponent = (2 * k - 1) ** 2 * math.pi**2 / (8.0 * z * z)
             term = factor * math.exp(-exponent)
-            total += term * (2.0 * exponent - 1.0) / z
+            total += term
+            if density:
+                # d/dz (c / z) exp(-a / z^2) = (c / z) exp(-a / z^2) (2 a / z^2 - 1) / z
+                slope += term * (2.0 * exponent - 1.0) / z
             if term < _TRUNCATION_TOLERANCE:
                 break
-        return total
-    # d/dz 2 exp(-2 k^2 z^2) = -4 k^2 z * 2 exp(-2 k^2 z^2)
-    total = 0.0
-    term = 2.0 * math.exp(-2.0 * z * z)
-    for k in range(1, _MAX_TERMS + 1):
-        total += 4.0 * k * k * z * (term if k % 2 else -term)
-        nxt = k + 1
-        term = 2.0 * math.exp(-2.0 * nxt * nxt * z * z)
-        if term < _TRUNCATION_TOLERANCE:
-            break
-    return total
+    else:
+        # Each term's exp serves first as the stopping check of the term before.
+        total = 1.0
+        term = 2.0 * math.exp(-2.0 * z * z)
+        for k in range(1, _MAX_TERMS + 1):
+            signed = -term if k % 2 else term
+            total += signed
+            if density:  # d/dz 2 exp(-2 k^2 z^2) = -4 k^2 z * 2 exp(-2 k^2 z^2)
+                slope -= 4.0 * k * k * z * signed
+            nxt = k + 1
+            term = 2.0 * math.exp(-2.0 * nxt * nxt * z * z)
+            if term < _TRUNCATION_TOLERANCE:
+                break
+    cdf = min(max(total, 0.0), 1.0)
+    return (cdf, slope) if density else cdf
 
 
 def p_value(statistic: float) -> float:
@@ -117,14 +98,14 @@ def bridge_sup_quantile(p: float) -> float:
         z = 0.5 * (lo + hi)
     step = before = hi - lo
     for _ in range(200):
-        residual = _cdf(z) - p
+        cdf, slope = _cdf(z, density=True)
+        residual = cdf - p
         if residual == 0.0:
             return z
         if residual < 0.0:
             lo = z
         else:
             hi = z
-        slope = _pdf(z)
         newton = residual / slope if slope > 0.0 else math.inf
         # z is an end of the bracket now, and a last step can round back to
         # it, so the bracket test includes its ends.

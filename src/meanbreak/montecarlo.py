@@ -8,8 +8,8 @@ measure size, presets 4-9 measure power.
 Per-replication seeds are derived from (master_seed, series, n, replication),
 so any parallel schedule produces the same table as the sequential run.
 Replication r's noise is ``signals.gaussian_stream((master_seed, key, n, r),
-n)``.  The engine derives the Philox keys of many replications at once and
-sets one generator to each key in turn, which gives the same bits.
+n)``; the engine draws it in blocks of replications from
+``signals.noise_blocks``, which gives the same bits.
 """
 
 from __future__ import annotations
@@ -47,9 +47,6 @@ _SIGMA_BREAK = 2.0 / 3.0
 # variances, so the standard-deviation levels are their square roots.
 _SIGMA_LEVELS = (math.sqrt(0.5), math.sqrt(1.5))
 _SLOPE = 20.0
-# Values per block of replications in the CUSUM kernel: bounds the memory of
-# a block, and at n >= 2**14 makes it one replication.
-_BLOCK_ELEMENTS = 2**14
 # ``dist.p_value`` is within about 1e-15 of the exact series (its truncation
 # tolerance) and ``dist.bridge_sup_quantile`` within about 1e-14 in
 # probability.  A statistic whose exact p-value clears a level by this margin
@@ -188,14 +185,14 @@ def _cell_chunk(
     master_seed: int,
     levels: tuple[float, ...],
     bands: np.ndarray,
-    rep_start: int,
-    rep_stop: int,
+    reps: range,
 ) -> tuple[np.ndarray, int]:
-    """Rejection counts per level and degenerate count over a replication range.
+    """Rejection counts per level and degenerate count over the replications
+    ``reps``.
 
     Replication r is ``generate_series`` with seed (master_seed, key, n, r);
-    blocks of at most ``_BLOCK_ELEMENTS`` values go through the CUSUM kernel
-    together, so results do not depend on how the range is split.  ``bands``
+    each block of ``signals.noise_blocks`` goes through the CUSUM kernel
+    at once, so results do not depend on how the range is split.  ``bands``
     are ``_critical_bands(levels)``.
     """
     mu = signals.mean_path(mean_spec, n)
@@ -204,29 +201,19 @@ def _cell_chunk(
     alphas = np.asarray(levels)
     rejections = np.zeros(len(levels), dtype=np.int64)
     degenerate = 0
-    rows = max(1, _BLOCK_ELEMENTS // n)
-    # Keys for at most _BLOCK_ELEMENTS replications at a time, so their
-    # memory stays bounded like a block's.
-    for batch_start in range(rep_start, rep_stop, _BLOCK_ELEMENTS):
-        batch = range(batch_start, min(batch_start + _BLOCK_ELEMENTS, rep_stop))
-        keys = signals._philox_keys((master_seed, key, n), batch)
-        for block_start in range(0, len(keys), rows):
-            y = signals._gaussian_rows(keys[block_start:block_start + rows], n)
-            y *= sigma  # y = mu + sigma * eps, in place
-            y += mu
-            statistic = core._cusum_sup(y, grid)
-            constant = np.isnan(statistic)
-            degenerate += int(constant.sum())
-            rejections += _rejections(statistic[~constant], alphas, bands).sum(axis=0)
+    for y in signals.noise_blocks((master_seed, key, n), reps, n):
+        y *= sigma  # y = mu + sigma * eps, in place
+        y += mu
+        statistic = core._cusum_sup(y, grid)
+        constant = np.isnan(statistic)
+        degenerate += int(constant.sum())
+        rejections += _rejections(statistic[~constant], alphas, bands).sum(axis=0)
     return rejections, degenerate
 
 
-def _chunk_bounds(replications: int, workers: int) -> list[tuple[int, int]]:
+def _chunk_bounds(replications: int, workers: int) -> list[range]:
     per = -(-replications // workers)
-    return [
-        (start, min(start + per, replications))
-        for start in range(0, replications, per)
-    ]
+    return [range(replications)[start:start + per] for start in range(0, replications, per)]
 
 
 def run_experiment(config: ExperimentConfig) -> RejectionTable:
@@ -244,10 +231,10 @@ def run_experiment(config: ExperimentConfig) -> RejectionTable:
     for entry in config.series:
         label, key, mean_spec, sigma_spec = _resolve(entry)
         for n in config.sample_sizes:
-            for start, stop in _chunk_bounds(config.replications, processes):
+            for reps in _chunk_bounds(config.replications, processes):
                 cells.append((label, n))
                 tasks.append((mean_spec, sigma_spec, n, key, config.master_seed,
-                              config.levels, bands, start, stop))
+                              config.levels, bands, reps))
     if processes == 1:
         results = list(map(_cell_chunk, *zip(*tasks)))
     else:

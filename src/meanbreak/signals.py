@@ -25,6 +25,7 @@ __all__ = [
     "ergodic_variance_limit",
     "partial_variance_limit",
     "gaussian_stream",
+    "noise_blocks",
     "generate_series",
 ]
 
@@ -375,24 +376,36 @@ def _philox_keys(prefix, reps) -> np.ndarray:
     return np.stack([low0 | high0 << shift, low1 | high1 << shift], axis=-1)
 
 
-def _gaussian_rows(keys: np.ndarray, count: int) -> np.ndarray:
-    """(len(keys), count) standard normals: row i is the ``gaussian_stream``
-    whose seed has the Philox key ``keys[i]`` (see ``_philox_keys``).
+# Values per block of ``noise_blocks``: bounds a block's memory, and at
+# n >= 2**14 makes it one replication.
+_BLOCK_ELEMENTS = 2**14
 
-    One generator is set to each key in turn, with the zero counter and
-    empty buffer of a newly seeded Philox.
+
+def noise_blocks(prefix, reps: range, n: int):
+    """Standard normals of the replications ``reps``, as (rows, n) blocks of
+    at most ``_BLOCK_ELEMENTS`` values (one row at least); the row of
+    replication r is ``gaussian_stream((*prefix, r), n)`` bit for bit.
+
+    Keys are derived for ``_BLOCK_ELEMENTS`` replications at a time (see
+    ``_philox_keys``), and one generator is set to each key in turn, with
+    the zero counter and empty buffer of a newly seeded Philox.
     """
-    bit_gen = np.random.Philox(key=keys[0])
-    gen = np.random.Generator(bit_gen)
+    rows = max(1, _BLOCK_ELEMENTS // n)
     zeros = np.zeros(4, dtype=np.uint64)
     state = {"bit_generator": "Philox", "buffer": zeros, "buffer_pos": 4,
              "has_uint32": 0, "uinteger": 0}
-    out = np.empty((len(keys), count))
-    for row, key in zip(out, keys):
-        state["state"] = {"counter": zeros, "key": key}
-        bit_gen.state = state
-        gen.standard_normal(out=row)
-    return out
+    bit_gen = np.random.Philox(key=zeros[:2])
+    gen = np.random.Generator(bit_gen)
+    for batch in range(0, len(reps), _BLOCK_ELEMENTS):
+        keys = _philox_keys(prefix, reps[batch:batch + _BLOCK_ELEMENTS])
+        for start in range(0, len(keys), rows):
+            block = keys[start:start + rows]
+            out = np.empty((len(block), n))
+            for row, key in zip(out, block):
+                state["state"] = {"counter": zeros, "key": key}
+                bit_gen.state = state
+                gen.standard_normal(out=row)
+            yield out
 
 
 def generate_series(mean: MeanSpec, sigma: SigmaSpec, n: int, seed) -> np.ndarray:

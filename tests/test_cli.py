@@ -120,6 +120,10 @@ class TestCmdTest:
          ("--column", "price"), "rows failed to parse: 3\n"),
         # one delimiter per file: the first row fixes it
         ("1,2\n3 4\n5,6\n", (), "rows failed to parse: 2\n"),
+        # a row is one line: a quote open on line 3 and closed on line 4 makes
+        # line 3 bad, and line 4 is read on its own
+        ('date,y\nd1,1\n"d2,2\nd3",3\nd4,4\nd5,x\nd6,6\n', ("--column", "y"),
+         "rows failed to parse: 3, 6\n"),
         # a nonpositive level is named by its file line, header and blank lines counted
         ("price\n\n5\n-1\n5\n", ("--kind", "levels", "--column", "price"),
          "levels must be strictly positive for the log-return step (offending row 4)\n"),
@@ -179,6 +183,57 @@ class TestCmdTest:
         code, _, err = run_cli(capsys, "test", str(f), "--kind", "levels", "--column", "price")
         assert code == 3
         assert err.endswith("(offending row 184)\n")
+
+    def test_quote_across_lines_does_not_merge_rows(self, tmp_path, capsys):
+        # The mean moves after row d100; a quote opened on line 12 and closed
+        # on line 13 would read d11 and d12 as one row.
+        rng = np.random.default_rng(1)
+        lines = ["date,y"] + [
+            f"d{k},{(1.0 if k <= 100 else 3.0) + 0.1 * rng.standard_normal():.4f}"
+            for k in range(1, 201)
+        ]
+        f = tmp_path / "r.csv"
+        args = ("test", str(f), "--column", "y", "--date-column", "date", "--format", "json")
+        f.write_text("\n".join(lines) + "\n")
+        code, out, _ = run_cli(capsys, *args)
+        assert code == 0
+        assert json.loads(out)["n"] == 200
+        assert json.loads(out)["break_date"] == "d100"
+        lines[11] = '"' + lines[11]
+        lines[12] = lines[12].replace(",", '",')
+        f.write_text("\n".join(lines) + "\n")
+        code, out, err = run_cli(capsys, *args)
+        assert code == 3
+        assert out == ""
+        assert err.endswith("rows failed to parse: 12\n")
+
+    @pytest.mark.parametrize("text, expected", [
+        ('date,y\nd1,1\n"d2,2\nd3",3\nd4,4\n', "rows failed to parse: 3"),
+        # a quote open on the last line, with blank lines after it
+        ('date,y\nd1,1\nd2,"2\n\n  \n', "rows failed to parse: 3"),
+        # after leading blanks a quote is a character, as in the bulk conversion
+        ('date,y\nd1,1\n  "d2,2\nd3",3\n', [1.0, 2.0, 3.0]),
+        # quotes that close on their own line
+        ('date,y\n"d1",1\nd2,"2" \n"a""b",3\n"a"b,4\n"d,5",5\n', [1.0, 2.0, 3.0, 4.0, 5.0]),
+    ])
+    def test_quotes_read_alike_in_any_block(self, tmp_path, monkeypatch, text, expected):
+        f = tmp_path / "r.csv"
+        f.write_text(text)
+
+        def read():
+            try:
+                return cli.load_column(str(f), "y")[0].tolist()
+            except cli.DataError as exc:
+                return str(exc).removeprefix(f"{f}: ")
+
+        assert read() == expected
+        monkeypatch.setattr(cli, "BLOCK_CHARS", 1)  # a block per line
+        assert read() == expected
+        # and cell by cell, as when another row of the block is bad
+        bad = []
+        values = cli._check_cells(text.split("\n")[1:], 1, True, 1, bad, [])
+        got = values.tolist() if not bad else cli._rows_report("rows failed to parse", bad)
+        assert got == expected
 
     @pytest.mark.parametrize("text, args, break_date", [
         ('date,price\n"Jan 1, 2020",1\n"Jan 2, 2020","1"\n"Jan 3, 2020",3\n',
@@ -379,6 +434,15 @@ class TestCmdSimulate:
         assert f"{cfg}:4:" in err
         assert "'replications'" in err
         assert "series, n, alpha, reps, seed, workers" in err
+
+    def test_repeated_config_key(self, tmp_path, capsys):
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text("series = 1\nn = 30\nreps = 5\n\nreps = 7\n")
+        code, out, err = run_cli(capsys, "simulate", "--config", str(cfg))
+        assert code == 3
+        assert out == ""
+        assert f"{cfg}:5:" in err
+        assert "'reps'" in err
 
     def test_text_format_layout(self, capsys):
         code, out, _ = run_cli(

@@ -8,7 +8,7 @@ import os
 import numpy as np
 import pytest
 
-from meanbreak import dist, montecarlo
+from meanbreak import dist, montecarlo, signals
 from meanbreak.core import DegenerateSeriesError, lm_test
 from meanbreak.montecarlo import (
     ExperimentConfig,
@@ -238,7 +238,7 @@ class TestBatchedEngine:
         return reference_table(self.CONFIG)
 
     def test_replications_span_more_than_one_block_at_n_30(self):
-        assert self.CONFIG.replications > montecarlo._BLOCK_ELEMENTS // 30
+        assert self.CONFIG.replications > signals._BLOCK_ELEMENTS // 30
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_matches_per_replication_reference(self, reference, workers):
@@ -251,7 +251,7 @@ class TestBatchedEngine:
             series=(1, 5, 9), sample_sizes=(3, 50), replications=40, master_seed=4
         )
         table = run_experiment(config)
-        monkeypatch.setattr(montecarlo, "_BLOCK_ELEMENTS", 7)
+        monkeypatch.setattr(signals, "_BLOCK_ELEMENTS", 7)
         assert emit_table(run_experiment(config), "json") == emit_table(table, "json")
 
     def test_degenerate_replications_counted_not_tested(self):

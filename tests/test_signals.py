@@ -249,7 +249,7 @@ class TestGaussianStream:
 
 class TestBulkStream:
     """The engine's stream: keys derived in bulk, rows filled by one
-    generator, equal to ``gaussian_stream`` bit for bit."""
+    generator (``noise_blocks``), equal to ``gaussian_stream`` bit for bit."""
 
     REPS = (0, 1, 2**32 - 1)
 
@@ -280,12 +280,17 @@ class TestBulkStream:
             signals._philox_keys((-1, 1, 30), [0])
 
     @pytest.mark.parametrize("n", [2, 30, 2**14 + 1])
-    def test_rows_equal_gaussian_stream(self, n):
-        reps = (0, 1, 2, 2**32 - 1)
-        rows = signals._gaussian_rows(signals._philox_keys((7, 4, n), reps), n)
-        assert rows.shape == (len(reps), n)
-        for row, r in zip(rows, reps):
-            np.testing.assert_array_equal(row, gaussian_stream((7, 4, n, r), n))
+    def test_rows_equal_gaussian_stream(self, monkeypatch, n):
+        # Keys are derived 64 replications at a time here: both ranges start
+        # past 0 and cross a key batch.
+        monkeypatch.setattr(signals, "_BLOCK_ELEMENTS", 64)
+        for reps in (range(5, 140), range(2**32 - 70, 2**32)):
+            blocks = list(signals.noise_blocks((7, 4, n), reps, n))
+            assert all(1 <= len(block) <= max(1, 64 // n) for block in blocks)
+            rows = np.concatenate(blocks)
+            assert rows.shape == (len(reps), n)
+            for row, r in zip(rows, reps):
+                np.testing.assert_array_equal(row, gaussian_stream((7, 4, n, r), n))
 
 
 class TestGenerateSeries:
