@@ -3,6 +3,7 @@ with its Brownian-bridge limit law, signal generators, asymptotic drift and
 variance formulas, and a Monte Carlo size/power harness."""
 
 import importlib
+import os
 
 from meanbreak.core import (
     CusumPath,
@@ -19,6 +20,15 @@ from meanbreak.core import (
 from meanbreak.dist import bridge_sup_cdf, bridge_sup_quantile, p_value
 
 __version__ = "0.1.0"
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform
+    keeps one (``taskset``, a cpuset container), else the machine's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
 
 # Names from modules that import scipy, loaded on first access (PEP 562), so
 # that `import meanbreak.cli` and the `test`, `pvalue` and `quantile` commands
@@ -72,4 +82,5 @@ __all__ = [
     "run_experiment",
     "sigma_path",
     "transition",
+    "usable_cpus",
 ]

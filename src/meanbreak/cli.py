@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import bisect
 import csv
+import io
 import itertools
 import json
 import math
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from meanbreak import core, dist
+from meanbreak import core, dist, usable_cpus
 
 __all__ = ["main"]
 
@@ -30,6 +31,7 @@ EXIT_DATA = 3
 
 PVALUE_FLOOR = 1e-12
 BLOCK_CHARS = 1 << 20  # characters of a data file converted per bulk call
+_MIN_RANGE = 4 * BLOCK_CHARS  # bytes of a data file per reader process, at least
 CONFIG_KEYS = ("series", "n", "alpha", "reps", "seed", "workers")  # simulate --config
 
 
@@ -82,29 +84,31 @@ def load_column(path: str, column: str, date_column: str | None = None):
     file line and the date of a data row.
     """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            first_line = 0
+        # Line ends as in the file (newline=""), so that the bytes before the
+        # data are the encoded length of the lines read.
+        with _text(path, newline="") as fh:
+            first_line = start = 0
             for line in iter(fh.readline, ""):
                 first_line += 1
+                start += len(line.encode("utf-8"))
                 if line.strip():
                     break
             else:
                 raise DataError(f"{path} contains no data rows")
-            comma = "," in line
-            first = _split(line, comma)
-            header = first if any(not _is_float(cell) for cell in first) else []
-            col = _column_index(column, header)
-            date_col = None if date_column is None else _column_index(date_column, header)
-            for index in (col, date_col):
-                if index is not None and index >= len(first):
-                    raise DataError(
-                        f"{path}: column {index} is past the {len(first)} "
-                        f"columns of row {first_line}"
-                    )
-            skip = first_line if header else 0
-            if not header:
-                fh.seek(0)
-            values, blocks = _read_values(fh, path, comma, col, skip)
+        comma = "," in line
+        first = _split(line, comma)
+        header = first if any(not _is_float(cell) for cell in first) else []
+        col = _column_index(column, header)
+        date_col = None if date_column is None else _column_index(date_column, header)
+        for index in (col, date_col):
+            if index is not None and index >= len(first):
+                raise DataError(
+                    f"{path}: column {index} is past the {len(first)} "
+                    f"columns of row {first_line}"
+                )
+        if not header:
+            first_line = start = 0
+        values, blocks = _read_ranges(path, start, first_line, comma, col)
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     if not values.size:
@@ -112,27 +116,128 @@ def load_column(path: str, column: str, date_column: str | None = None):
     return values, DataRows(path, comma, date_col, blocks)
 
 
-def _read_values(fh, path: str, comma: bool, col: int, number: int):
-    """Convert column ``col`` of the rest of ``fh`` to float64, a block of
-    lines at a time; ``number`` lines of the file have been read before.
+class _Range(io.FileIO):
+    """Bytes ``start`` to ``end`` of a file (to its end if ``end`` is None).
+    Positions are file offsets, so a text stream's ``tell()`` in one range is
+    a valid ``seek()`` in a stream over any range that holds it."""
+
+    def __init__(self, path: str, start: int = 0, end: int | None = None):
+        super().__init__(path, "rb")
+        self._end = end
+        self.seek(start)
+
+    def readinto(self, buffer) -> int:
+        if self._end is not None:
+            buffer = memoryview(buffer)[:max(0, self._end - self.tell())]
+        return super().readinto(buffer)
+
+    def readall(self) -> bytes:
+        return io.RawIOBase.readall(self)  # by readinto, not to the end of the file
+
+
+def _text(path: str, start: int = 0, end: int | None = None, newline=None):
+    """A UTF-8 text stream over bytes ``start`` to ``end`` of ``path``; by
+    default "\r\n" and "\r" read as "\n", as in ``open``."""
+    return io.TextIOWrapper(
+        io.BufferedReader(_Range(path, start, end)), encoding="utf-8", newline=newline
+    )
+
+
+def _ranges(path: str, start: int) -> list[tuple[int, int]]:
+    """Split the bytes of ``path`` from ``start`` on into (start, end) ranges:
+    at most one per usable CPU and per ``_MIN_RANGE`` bytes, each but the
+    first starting just after a newline, so that every range boundary is a
+    line boundary.  A file without newlines is one range."""
+    with open(path, "rb") as fh:
+        end = fh.seek(0, io.SEEK_END)
+        count = min(usable_cpus(), (end - start) // _MIN_RANGE)
+        if count > 1 and not _can_fork():
+            count = 1
+        starts = [start]
+        for k in range(1, count):
+            fh.seek(max(starts[-1], start + (end - start) * k // count))
+            while (chunk := fh.readline(1 << 16)) and not chunk.endswith(b"\n"):
+                pass  # a line longer than the chunk, or "\r" line ends only
+            if fh.tell() == end:
+                break
+            starts.append(fh.tell())
+    return list(zip(starts, [*starts[1:], end]))
+
+
+def _can_fork() -> bool:
+    """Whether this process can fork range readers: the platform has fork,
+    and the process is no daemonic pool worker (which may have no children)."""
+    if not hasattr(os, "fork"):
+        return False
+    import multiprocessing
+
+    return not multiprocessing.current_process().daemon
+
+
+def _read_ranges(path: str, start: int, number: int, comma: bool, col: int):
+    """Convert column ``col`` of ``path`` from byte ``start`` on, which
+    follows file line ``number``: range 0 of :func:`_ranges` in this process,
+    the others in forked processes.  Each range's line numbers and block
+    table count from its own start; they are shifted by the lines and rows of
+    the ranges before it, so a range boundary reads as a block boundary.
+
+    Returns the values and the block table of :class:`DataRows`.
+    """
+    ranges = _ranges(path, start)
+    if len(ranges) == 1:
+        parts = [_read_values(path, *ranges[0], comma, col)]
+    else:
+        # Fork, not spawn: a spawned reader would import numpy again, which
+        # costs about as much as reading its range.  The readers call no
+        # BLAS, whose threads are the only ones numpy may have started.
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        fork = multiprocessing.get_context("fork")
+        with ProcessPoolExecutor(len(ranges) - 1, mp_context=fork) as pool:
+            rest = [pool.submit(_read_values, path, *span, comma, col) for span in ranges[1:]]
+            parts = [_read_values(path, *ranges[0], comma, col)]
+            parts += [future.result() for future in rest]
+    values, blocks, bad, nonfinite = [], [], [], []
+    rows = 0
+    for part, part_blocks, part_bad, part_nonfinite, lines in parts:
+        values.append(part)
+        blocks += [(position, number + before, rows + rows_before)
+                   for position, before, rows_before in part_blocks]
+        bad += [number + line for line in part_bad]
+        nonfinite += [number + line for line in part_nonfinite]
+        number += lines
+        rows += len(part)
+    reports = [_rows_report("rows failed to parse", bad)] if bad else []
+    if nonfinite:
+        reports.append(_rows_report("rows with non-finite values", nonfinite))
+    if reports:
+        raise DataError(f"{path}: " + "; ".join(reports))
+    return np.concatenate(values), tuple(blocks)
+
+
+def _read_values(path: str, start: int, end: int, comma: bool, col: int):
+    """Convert column ``col`` of bytes ``start`` to ``end`` of ``path``, a
+    block of lines at a time.
 
     A block the bulk conversion rejects, or that holds a non-finite value, is
     checked cell by cell, so a malformed file costs about as much as a clean
-    one and every bad row is named by its file line number.  Lines the bulk
+    one and every bad row is named by its line number.  Lines the bulk
     conversion rejects but ``float`` reads ("1_000", a whitespace-only line
     in a comma file) are read in that check.
 
-    Returns the values and, per block, its ``fh.tell()`` position and the
-    file lines and data rows before it (see :class:`DataRows`).
+    Returns the values; per block, its ``tell()`` position and the lines and
+    data rows of the range before it; the line numbers of bad and of
+    non-finite rows; and the number of lines, all counted in the range.
     """
     options = dict(
         usecols=col, comments=None, ndmin=1,
         delimiter="," if comma else None, quotechar='"' if comma else None,
     )
     parts, blocks, bad, nonfinite = [], [], [], []
-    rows = 0
-    with warnings.catch_warnings():  # a block of blank lines holds no data
-        warnings.simplefilter("ignore", UserWarning)
+    number = rows = 0
+    with _text(path, start, end) as fh, warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # a block of blank lines holds no data
         while True:
             # Not readlines: it would disable tell().  Text mode has already
             # turned "\r\n" and "\r" into "\n", so these are its lines.
@@ -155,12 +260,7 @@ def _read_values(fh, path: str, comma: bool, col: int, number: int):
             parts.append(values)
             number += len(block)
             rows += len(values)
-    reports = [_rows_report("rows failed to parse", bad)] if bad else []
-    if nonfinite:
-        reports.append(_rows_report("rows with non-finite values", nonfinite))
-    if reports:
-        raise DataError(f"{path}: " + "; ".join(reports))
-    return (np.concatenate(parts) if parts else np.empty(0)), tuple(blocks)
+    return (np.concatenate(parts) if parts else np.empty(0)), blocks, bad, nonfinite, number
 
 
 def _rows_are_lines(lines, rows: int) -> bool:
@@ -223,14 +323,14 @@ class DataRows:
     path: str
     comma: bool
     date_col: int | None
-    blocks: tuple  # (fh.tell() position, file lines before, data rows before)
+    blocks: tuple  # (text tell() position, file lines before, data rows before)
 
     def _locate(self, index: int) -> tuple[int, str]:
         """File line number and text of data row ``index`` (0-based)."""
         block = bisect.bisect_right(self.blocks, index, key=lambda b: b[2]) - 1
         position, before, rows_before = self.blocks[block]
         try:
-            with open(self.path, "r", encoding="utf-8") as fh:
+            with _text(self.path) as fh:
                 fh.seek(position)
                 lines = enumerate(fh, before + 1)
                 rows = ((number, line) for number, line in lines if line.strip())
@@ -371,7 +471,7 @@ def _config_from_args(args) -> montecarlo.ExperimentConfig:
         levels=tuple(sorted(pick(args.alpha, "alpha", float_list, [0.01, 0.05, 0.10]))),
         replications=pick(args.reps, "reps", int, 1000),
         master_seed=pick(args.seed, "seed", int, 0),
-        workers=pick(args.workers, "workers", int, os.cpu_count() or 1),
+        workers=pick(args.workers, "workers", int, usable_cpus()),
     )
 
 

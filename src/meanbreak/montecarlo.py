@@ -18,14 +18,13 @@ import csv
 import io
 import json
 import math
-import os
 import zlib
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from meanbreak import core, dist, signals
+from meanbreak import core, dist, signals, usable_cpus
 from meanbreak.signals import MeanSpec, SigmaSpec, TransitionSpec
 from meanbreak.signals import generate_series  # noqa: F401  re-exported: one replication
 
@@ -96,8 +95,8 @@ class ExperimentConfig:
 
     ``series`` entries are preset ids 1-9 or (label, MeanSpec, SigmaSpec)
     triples for custom designs.  ``workers`` is an upper bound: at most
-    ``os.cpu_count()`` pool processes run, and with one the replications
-    run in the calling process.
+    :func:`meanbreak.usable_cpus` pool processes run, and with one the
+    replications run in the calling process.
     """
 
     series: tuple = (1,)
@@ -222,7 +221,7 @@ def run_experiment(config: ExperimentConfig) -> RejectionTable:
     Pool workers fork (or spawn) all at once, so more processes than CPUs
     would only start interpreters that wait for one.
     """
-    processes = min(config.workers, os.cpu_count() or 1)
+    processes = min(config.workers, usable_cpus())
     table = RejectionTable(
         replications=config.replications, master_seed=config.master_seed
     )

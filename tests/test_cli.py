@@ -1,7 +1,10 @@
 """End-to-end tests of the command-line interface (run in-process)."""
 
+import concurrent.futures
 import json
+import multiprocessing
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -348,6 +351,137 @@ class TestCmdTest:
         assert doc["p_value"] == 0.0
 
 
+def price_rows(n: int, date=lambda k: f"2020-{k:04d}") -> list[str]:
+    values = np.random.default_rng(5).standard_normal(n).tolist()
+    return [f"{date(k)},{v!r}" for k, v in enumerate(values)]
+
+
+def open_quote_at_range_ends(data: bytearray, spans) -> None:
+    for _, end in spans[:-1]:
+        data[data.rindex(b"\n", 0, end - 1) + 1] = ord('"')
+
+
+def bad_cell_at_range_starts(data: bytearray, spans) -> None:
+    for start, _ in spans[1:]:
+        data[data.index(b"\n", start) - 1] = ord("x")
+
+
+def nonfinite_in_first_and_last_range(data: bytearray, spans) -> None:
+    for (start, _), word in zip((spans[0], spans[-1]), (b"inf", b"nan")):
+        line = data.index(b"\n", start) + 1  # the range's second line
+        cell, end = data.index(b",", line) + 1, data.index(b"\n", line)
+        data[cell:end] = word.ljust(end - cell)
+
+
+# name: (file bytes, a same-length change at the range bounds, error prefix)
+RANGE_FILES = {
+    "lf": ("\n".join(["date,y", *price_rows(150)]) + "\n", None, None),
+    "crlf": ("\r\n".join(["date,y", *price_rows(150)]) + "\r\n", None, None),
+    "cr": ("\r".join(["date,y", *price_rows(150)]) + "\r", None, None),
+    "multibyte dates": ("\n".join(["date,y", *price_rows(150, lambda k: f"Jä{k}€😀")]),
+                        None, None),
+    # a run of blank lines longer than a range, with data on both sides
+    "blank lines": ("\n".join(["date,y", *price_rows(60), *["", "   ", "\t"] * 500,
+                               *price_rows(60)]) + "\n", None, None),
+    "open quote": ("\n".join(["date,y", *price_rows(150)]) + "\n",
+                   open_quote_at_range_ends, "rows failed to parse: "),
+    "bad cell": ("\n".join(["date,y", *price_rows(150)]) + "\n",
+                 bad_cell_at_range_starts, "rows failed to parse: "),
+    "non-finite": ("\n".join(["date,y", *price_rows(150)]) + "\n",
+                   nonfinite_in_first_and_last_range, "rows with non-finite values: "),
+    "headerless": ("\n".join(row.replace(",", " ") for row in price_rows(150, str)) + "\n",
+                   None, None),
+}
+
+
+def column_bits(path) -> list[str]:
+    values, _ = cli.load_column(str(path), "1", "0")
+    return [v.hex() for v in values.tolist()]
+
+
+class TestRanges:
+    """A file read in byte ranges, one process each, reads as in one range:
+    the same value bits, the same file line and date of every row, the same
+    error."""
+
+    @pytest.fixture(autouse=True)
+    def small_ranges(self, monkeypatch):
+        monkeypatch.setattr(cli, "BLOCK_CHARS", 40)  # two or three lines a block
+        monkeypatch.setattr(cli, "_MIN_RANGE", 64)
+        split, self.spans = cli._ranges, []
+
+        def ranges(*args):
+            self.spans.append(split(*args))
+            return self.spans[-1]
+
+        monkeypatch.setattr(cli, "_ranges", ranges)
+
+    def read(self, monkeypatch, path, cpus):
+        """``load_column`` on ``cpus`` usable CPUs, and the ranges it read."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        try:
+            values, rows = cli.load_column(str(path), "1", "0")
+        except cli.DataError as exc:
+            return str(exc), self.spans[-1]
+        self.blocks = rows.blocks
+        lines = [(rows.line(i), rows.date(i)) for i in range(len(values))]
+        return ([v.hex() for v in values.tolist()], lines), self.spans[-1]
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    @pytest.mark.parametrize("name", RANGE_FILES)
+    def test_ranges_read_as_one(self, tmp_path, monkeypatch, name, cpus):
+        text, change, error = RANGE_FILES[name]
+        path = tmp_path / "r.csv"
+        data = bytearray(text.encode())
+        path.write_bytes(data)
+        if change is not None:
+            change(data, self.read(monkeypatch, path, cpus)[1])
+            path.write_bytes(data)
+        expected, one = self.read(monkeypatch, path, 1)
+        got, spans = self.read(monkeypatch, path, cpus)
+        assert len(one) == 1
+        if error is None:
+            assert len(self.blocks) > len(spans)  # blocks of BLOCK_CHARS, in each range
+        else:
+            assert expected.startswith(f"{path}: {error}")
+        assert got == expected
+        if name == "cr":  # no "\n" to start a range after
+            assert len(spans) == 1
+            return
+        assert len(spans) == cpus
+        if name == "blank lines":
+            lines = [data[start:end].split(b"\n") for start, end in spans]
+            assert any(not before[-2].strip() and not after[0].strip()
+                       for before, after in zip(lines, lines[1:]))
+            assert cpus == 2 or any(not data[start:end].strip() for start, end in spans)
+
+    def test_undecodable_range(self, tmp_path, monkeypatch, capsys):
+        data = ("\n".join(["date,y", *price_rows(1000)]) + "\n").encode()
+        path = tmp_path / "r.csv"
+        path.write_bytes(data[:-100] + b"\xff" + data[-100:])  # past the first 8 KiB read
+        # The position counts from a decoded chunk, which moves with the ranges.
+        message = re.compile(
+            rf"cannot read {re.escape(str(path))}: 'utf-8' codec can't decode byte 0xff "
+            r"in position \d+: invalid start byte"
+        )
+        for cpus in (1, 3):
+            got, spans = self.read(monkeypatch, path, cpus)
+            assert len(spans) == cpus
+            assert message.fullmatch(got)
+            code, out, err = run_cli(capsys, "test", str(path), "--column", "y")
+            assert (code, out) == (3, "")
+            assert message.fullmatch(err.removeprefix("error: ").removesuffix("\n"))
+
+    def test_daemon_reads_in_one_process(self, tmp_path, monkeypatch):
+        # A daemonic pool worker may start no process of its own.
+        path = tmp_path / "r.csv"
+        path.write_text("\n".join(["date,y", *price_rows(150)]) + "\n")
+        expected, _ = self.read(monkeypatch, path, 1)
+        assert len(self.read(monkeypatch, path, 3)[1]) == 3
+        with multiprocessing.get_context("fork").Pool(1) as pool:
+            assert pool.apply(column_bits, (path,)) == expected[0]
+
+
 class TestCmdSimulate:
     def test_one_cell_table(self, capsys):
         code, out, _ = run_cli(
@@ -444,6 +578,13 @@ class TestCmdSimulate:
         assert f"{cfg}:5:" in err
         assert "'reps'" in err
 
+    def test_default_workers_are_usable_cpus(self, monkeypatch):
+        # Under taskset or a cpuset, fewer CPUs than the machine has.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {1, 3}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        args = cli._build_parser().parse_args(["simulate", "--series", "1"])
+        assert cli._config_from_args(args).workers == 2
+
     def test_text_format_layout(self, capsys):
         code, out, _ = run_cli(
             capsys, "simulate", "--series", "1", "--series", "4",
@@ -513,6 +654,27 @@ class TestImports:
 
         expected = signals.partial_variance_limit(montecarlo.preset(3)[1], 0.5)
         assert run_child(code).splitlines() == ["False", f"True {expected.hex()}"]
+
+    def test_small_file_starts_no_pool(self, tmp_path, monkeypatch, capsys):
+        # The reader's process pool is for large files; small ones pay neither
+        # its import nor a process.
+        f = tmp_path / "r.csv"
+        f.write_text("date,y\nd1,1\nd2,2\nd3,5\n")
+        code = (
+            "import sys; from meanbreak.cli import main\n"
+            f"code = main(['test', {str(f)!r}, '--column', 'y'])\n"
+            "print(code, sorted(m for m in sys.modules"
+            " if m.split('.')[0] in ('multiprocessing', 'concurrent')))\n"
+        )
+        assert run_child(code).splitlines()[-1] == "0 []"
+
+        class NoPool:
+            def __init__(self, *args, **kwargs):
+                raise AssertionError("a reader process started")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoPool)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
+        assert run_cli(capsys, "test", str(f), "--column", "y")[0] == 0
 
     def test_lazy_package_names(self):
         from meanbreak import MeanSpec, SigmaSpec, montecarlo, run_experiment, signals

@@ -126,9 +126,10 @@ class TestRunExperiment:
         assert emit_table(sequential, "csv") == emit_table(parallel, "csv")
         assert emit_table(sequential, "json") == emit_table(parallel, "json")
 
-    @pytest.mark.parametrize("cpus, pools", [(3, [3]), (None, [])])
-    def test_processes_capped_at_cpu_count(self, monkeypatch, cpus, pools):
-        # A fake pool records its size and maps inline: no process starts.
+    @staticmethod
+    def pools_requested(monkeypatch, workers):
+        """Sizes of the pools ``run_experiment`` asks for, checking its table;
+        a fake pool maps inline, so no process starts."""
         requested = []
 
         class InlinePool:
@@ -145,10 +146,23 @@ class TestRunExperiment:
                 return map(fn, *iterables)
 
         monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", InlinePool)
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        table = run_experiment(dataclasses.replace(SMALL, workers=10_000))
-        assert requested == pools
+        table = run_experiment(dataclasses.replace(SMALL, workers=workers))
         assert emit_table(table, "json") == emit_table(run_experiment(SMALL), "json")
+        return requested
+
+    @pytest.mark.parametrize("cpus, pools", [(3, [3]), (None, [])])
+    def test_processes_capped_at_cpu_count(self, monkeypatch, cpus, pools):
+        # Where the platform keeps no affinity mask, the machine's count.
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert self.pools_requested(monkeypatch, 10_000) == pools
+
+    def test_processes_capped_at_affinity(self, monkeypatch):
+        # Under taskset or a cpuset, fewer CPUs than the machine has.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        assert self.pools_requested(monkeypatch, 10_000) == [3]
+        assert self.pools_requested(monkeypatch, 2) == [2]
 
     def test_monotone_in_alpha(self):
         table = run_experiment(SMALL)
