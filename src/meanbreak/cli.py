@@ -109,11 +109,38 @@ def load_column(path: str, column: str, date_column: str | None = None):
         if not header:
             first_line = start = 0
         values, blocks = _read_ranges(path, start, first_line, comma, col)
-    except (OSError, UnicodeDecodeError) as exc:
+    except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DataError(f"cannot read {path}: {_undecodable(path) or exc}") from exc
     if not values.size:
         raise DataError(f"{path}: no usable rows in column {column!r}")
     return values, DataRows(path, comma, date_col, blocks)
+
+
+def _undecodable(path: str) -> str | None:
+    """Where the first byte of ``path`` that is not UTF-8 lies: its file
+    offset and its line, counted as text mode counts lines.  A decode error
+    from a reader counts from the chunk it decoded, which moves with the
+    ranges.  No UTF-8 sequence holds a newline byte, so the file decodes
+    line by line."""
+    offset, number = 0, 1
+    with open(path, "rb") as fh:
+        for line in fh:
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                number += _line_ends(line[:exc.start])
+                return (f"'utf-8' codec can't decode byte {line[exc.start]:#04x} at "
+                        f"file offset {offset + exc.start} (line {number}): {exc.reason}")
+            offset += len(line)
+            number += _line_ends(line)
+    return None
+
+
+def _line_ends(data: bytes) -> int:
+    """Line ends in ``data``: "\n", "\r\n" and "\r" each count once."""
+    return data.count(b"\n") + data.count(b"\r") - data.count(b"\r\n")
 
 
 class _Range(io.FileIO):
@@ -131,8 +158,10 @@ class _Range(io.FileIO):
             buffer = memoryview(buffer)[:max(0, self._end - self.tell())]
         return super().readinto(buffer)
 
-    def readall(self) -> bytes:
-        return io.RawIOBase.readall(self)  # by readinto, not to the end of the file
+    # FileIO's own read and readall read to the end of the file; these go
+    # through readinto, and readall through read.
+    read = io.RawIOBase.read
+    readall = io.RawIOBase.readall
 
 
 def _text(path: str, start: int = 0, end: int | None = None, newline=None):
@@ -335,8 +364,10 @@ class DataRows:
                 lines = enumerate(fh, before + 1)
                 rows = ((number, line) for number, line in lines if line.strip())
                 return next(itertools.islice(rows, index - rows_before, None))
-        except (OSError, UnicodeDecodeError) as exc:
+        except OSError as exc:
             raise DataError(f"cannot read {self.path}: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise DataError(f"cannot read {self.path}: {_undecodable(self.path) or exc}") from exc
 
     def line(self, index: int) -> int:
         return self._locate(index)[0]

@@ -10,6 +10,7 @@ the plain form would need hundreds of terms.
 from __future__ import annotations
 
 import math
+from math import exp
 
 __all__ = ["bridge_sup_cdf", "p_value", "bridge_sup_quantile"]
 
@@ -21,6 +22,13 @@ _MAX_TERMS = 100
 # exponent is beyond -771), so the CDF is exactly 0.0; the series itself
 # would divide by zero once 8 z^2 underflows, near z = 1e-162.
 _CDF_ZERO_BELOW = 0.04
+# Per-term factors of the exponents, computed once.  -2 k^2 and 4 k^2 are
+# exact, and (2k - 1)^2 pi^2 rounds once, as in the exponent written out in
+# full, so c * z * z and c / (8 z^2) round as the written-out exponents.  _ALTERNATING holds,
+# per term k: k, 4 k^2, and -2 (k + 1)^2 for the next term, whose exp is first
+# the stopping check.
+_ALTERNATING = [(k, 4.0 * k * k, -2.0 * (k + 1) ** 2) for k in range(1, _MAX_TERMS + 1)]
+_THETA = [(2 * k - 1) ** 2 * math.pi**2 for k in range(1, _MAX_TERMS + 1)]
 
 
 def bridge_sup_cdf(z: float) -> float:
@@ -43,10 +51,11 @@ def _cdf(z: float, density: bool = False):
         # the dual theta representation, which converges in a term or two
         # there and keeps the CDF monotone all the way down to 0.
         factor = math.sqrt(2.0 * math.pi) / z
+        scale = 8.0 * z * z
         total = 0.0
-        for k in range(1, _MAX_TERMS + 1):
-            exponent = (2 * k - 1) ** 2 * math.pi**2 / (8.0 * z * z)
-            term = factor * math.exp(-exponent)
+        for coefficient in _THETA:
+            exponent = coefficient / scale
+            term = factor * exp(-exponent)
             total += term
             if density:
                 # d/dz (c / z) exp(-a / z^2) = (c / z) exp(-a / z^2) (2 a / z^2 - 1) / z
@@ -56,14 +65,13 @@ def _cdf(z: float, density: bool = False):
     else:
         # Each term's exp serves first as the stopping check of the term before.
         total = 1.0
-        term = 2.0 * math.exp(-2.0 * z * z)
-        for k in range(1, _MAX_TERMS + 1):
+        term = 2.0 * exp(-2.0 * z * z)
+        for k, derivative, following in _ALTERNATING:
             signed = -term if k % 2 else term
             total += signed
             if density:  # d/dz 2 exp(-2 k^2 z^2) = -4 k^2 z * 2 exp(-2 k^2 z^2)
-                slope -= 4.0 * k * k * z * signed
-            nxt = k + 1
-            term = 2.0 * math.exp(-2.0 * nxt * nxt * z * z)
+                slope -= derivative * z * signed
+            term = 2.0 * exp(following * z * z)
             if term < _TRUNCATION_TOLERANCE:
                 break
     cdf = min(max(total, 0.0), 1.0)

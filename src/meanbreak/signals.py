@@ -67,13 +67,18 @@ def transition(spec: TransitionSpec, x):
     Both are evaluated in overflow-safe form.
 
     A Python float (what quadrature passes, once per node) is evaluated
-    without a 0-d array, to the same bits: the square stays ``** 2``, which
-    is C ``pow`` as on a numpy float64 scalar; ``d * d`` rounds differently.
+    without a 0-d array, to the same bits.  The logistic is the formula
+    scipy's ``expit`` evaluates with libm ``exp``, 0 where ``exp`` overflows.
+    The square stays ``** 2``, which is C ``pow`` as on a numpy float64
+    scalar; ``d * d`` rounds differently.
     """
     if isinstance(x, float):
         d = x - spec.tau1
         if spec.family == "logistic":
-            return float(expit(spec.gamma * d))
+            try:
+                return 1.0 / (1.0 + math.exp(-spec.gamma * d))
+            except OverflowError:
+                return 0.0
         return float(-np.expm1(-spec.gamma * d ** 2))
     arr = np.asarray(x, dtype=np.float64)
     if spec.family == "logistic":
@@ -243,7 +248,21 @@ def _multi_regime_values(spec: SigmaSpec, x: np.ndarray) -> np.ndarray:
 def _sigma_at(spec: SigmaSpec, x: float) -> float:
     """Volatility at the continuous sample fraction x in [0, 1], for
     quadrature: step regimes assign x <= tau_j to regime j (boundary points
-    have measure zero under integration)."""
+    have measure zero under integration).
+
+    A smooth path is evaluated on the float, to the bits of the one-element
+    array the other variants go through: the exponential family squares by
+    multiplication, as numpy does for an array ``** 2``.
+    """
+    if spec.variant == "smooth":
+        lo, hi = spec.levels
+        shape = spec.transition
+        if shape.family == "logistic":
+            f = transition(shape, x)
+        else:
+            d = x - shape.tau1
+            f = -np.expm1(-shape.gamma * (d * d))
+        return float(lo + (hi - lo) * f)
     arr = np.atleast_1d(np.asarray(x, dtype=np.float64))
     return float(_values(spec, arr, np.asarray(spec.fractions), arr)[0])
 
@@ -388,16 +407,17 @@ def noise_blocks(prefix, reps: range, n: int):
 
     Keys are derived for ``_BLOCK_ELEMENTS`` replications at a time (see
     ``_philox_keys``), and one generator is set to each key in turn, with
-    the zero counter and empty buffer of a newly seeded Philox.
+    the zero counter and empty buffer of a newly seeded Philox.  The state
+    holds Python ints, which the state setter reads faster than array items.
     """
     rows = max(1, _BLOCK_ELEMENTS // n)
-    zeros = np.zeros(4, dtype=np.uint64)
+    zeros = [0, 0, 0, 0]
     state = {"bit_generator": "Philox", "buffer": zeros, "buffer_pos": 4,
              "has_uint32": 0, "uinteger": 0}
     bit_gen = np.random.Philox(key=zeros[:2])
     gen = np.random.Generator(bit_gen)
     for batch in range(0, len(reps), _BLOCK_ELEMENTS):
-        keys = _philox_keys(prefix, reps[batch:batch + _BLOCK_ELEMENTS])
+        keys = _philox_keys(prefix, reps[batch:batch + _BLOCK_ELEMENTS]).tolist()
         for start in range(0, len(keys), rows):
             block = keys[start:start + rows]
             out = np.empty((len(block), n))

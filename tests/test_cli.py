@@ -4,7 +4,6 @@ import concurrent.futures
 import json
 import multiprocessing
 import os
-import re
 import subprocess
 import sys
 from pathlib import Path
@@ -458,19 +457,51 @@ class TestRanges:
     def test_undecodable_range(self, tmp_path, monkeypatch, capsys):
         data = ("\n".join(["date,y", *price_rows(1000)]) + "\n").encode()
         path = tmp_path / "r.csv"
-        path.write_bytes(data[:-100] + b"\xff" + data[-100:])  # past the first 8 KiB read
-        # The position counts from a decoded chunk, which moves with the ranges.
-        message = re.compile(
-            rf"cannot read {re.escape(str(path))}: 'utf-8' codec can't decode byte 0xff "
-            r"in position \d+: invalid start byte"
+        offset = len(data) - 100  # past the first 8 KiB read
+        path.write_bytes(data[:offset] + b"\xff" + data[offset:])
+        # The file offset and line of the byte, whatever the ranges.
+        line = data.count(b"\n", 0, offset) + 1
+        message = (
+            f"cannot read {path}: 'utf-8' codec can't decode byte 0xff at file offset "
+            f"{offset} (line {line}): invalid start byte"
         )
-        for cpus in (1, 3):
+        for cpus in (1, 2, 3):
             got, spans = self.read(monkeypatch, path, cpus)
             assert len(spans) == cpus
-            assert message.fullmatch(got)
+            assert got == message
             code, out, err = run_cli(capsys, "test", str(path), "--column", "y")
-            assert (code, out) == (3, "")
-            assert message.fullmatch(err.removeprefix("error: ").removesuffix("\n"))
+            assert (code, out, err) == (3, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("end", ["\r\n", "\r"])
+    def test_undecodable_line_counts_every_line_end(self, tmp_path, end):
+        # Read while the header is: the first decoded chunk holds the byte.
+        data = end.join(["date,y", *price_rows(30), "2021-01-01,"]).encode()
+        path = tmp_path / "r.csv"
+        path.write_bytes(data + b"\xff1" + end.encode())
+        with pytest.raises(cli.DataError) as info:
+            cli.load_column(str(path), "y")
+        assert str(info.value) == (
+            f"cannot read {path}: 'utf-8' codec can't decode byte 0xff at file offset "
+            f"{len(data)} (line 32): invalid start byte"
+        )
+
+    def test_every_read_stops_at_end(self, tmp_path):
+        data = ("\n".join(price_rows(1000)) + "\n").encode()
+        path = tmp_path / "r.csv"
+        path.write_bytes(data)
+        start, end = 7, 100
+        raw = [
+            lambda f: f.read(), lambda f: f.readall(), lambda f: f.read(4096),
+            lambda f: b"".join(f.readlines()),
+        ]
+        for read in raw:
+            with cli._Range(str(path), start, end) as f:
+                assert read(f) == data[start:end]
+                assert f.read() == b""
+        for read in (lambda f: f.read(), lambda f: f.read(4096), lambda f: "".join(f)):
+            with cli._text(str(path), start, end) as f:
+                assert read(f) == data[start:end].decode()
+                assert f.read() == ""
 
     def test_daemon_reads_in_one_process(self, tmp_path, monkeypatch):
         # A daemonic pool worker may start no process of its own.

@@ -69,6 +69,47 @@ class TestCdf:
         for z in grid.tolist():
             assert bridge_sup_cdf(z).hex() == two_exp_series(z).hex()
 
+    def test_same_bits_as_written_out_exponents(self):
+        # The series as written before its coefficients were precomputed:
+        # each exponent multiplied out from k and z in the loop.
+        def written_out(z, density=False):
+            if z < 0.04:
+                return (0.0, 0.0) if density else 0.0
+            slope = 0.0
+            if z < 0.5:
+                factor = math.sqrt(2.0 * math.pi) / z
+                total = 0.0
+                for k in range(1, 101):
+                    exponent = (2 * k - 1) ** 2 * math.pi**2 / (8.0 * z * z)
+                    term = factor * math.exp(-exponent)
+                    total += term
+                    if density:
+                        slope += term * (2.0 * exponent - 1.0) / z
+                    if term < 1e-15:
+                        break
+            else:
+                total = 1.0
+                term = 2.0 * math.exp(-2.0 * z * z)
+                for k in range(1, 101):
+                    signed = -term if k % 2 else term
+                    total += signed
+                    if density:
+                        slope -= 4.0 * k * k * z * signed
+                    nxt = k + 1
+                    term = 2.0 * math.exp(-2.0 * nxt * nxt * z * z)
+                    if term < 1e-15:
+                        break
+            cdf = min(max(total, 0.0), 1.0)
+            return (cdf, slope) if density else cdf
+
+        edges = [0.04, 0.5, 6.0]
+        edges += [math.nextafter(e, d) for e in edges for d in (0.0, math.inf)]
+        grid = np.random.default_rng(23).uniform(0.0, 6.0, 100_000).tolist() + edges
+        for z in grid:
+            assert dist._cdf(z).hex() == written_out(z).hex(), z
+            got, expected = dist._cdf(z, density=True), written_out(z, density=True)
+            assert [v.hex() for v in got] == [v.hex() for v in expected], z
+
     def test_tiny_z_is_essentially_zero(self):
         assert bridge_sup_cdf(0.001) == 0.0
         assert bridge_sup_cdf(0.1) < 1e-40

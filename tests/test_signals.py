@@ -5,8 +5,9 @@ import zlib
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
-from meanbreak import signals
+from meanbreak import montecarlo, signals
 from meanbreak.signals import (
     MeanSpec,
     SigmaSpec,
@@ -71,6 +72,25 @@ class TestTransition:
                 got = transition(spec, x)
                 assert type(got) is float
                 assert got.hex() == float(transition(spec, np.array(x))).hex()
+
+    def test_float_logistic_same_bits_as_expit(self):
+        # The float path is 1 / (1 + exp(-z)) on libm exp, as scipy's expit,
+        # and 0.0 where math.exp overflows (z < -709.78).
+        rng = np.random.default_rng(31)
+        grid = np.concatenate((rng.uniform(-0.5, 1.5, 4000), np.linspace(-0.5, 1.5, 1001)))
+        edge = np.log(np.finfo(np.float64).max)
+        reached = False
+        for gamma in [*np.geomspace(0.5, 1e6, 16).tolist(), 1e6]:
+            tau1 = float(rng.uniform(0.05, 0.95))
+            # Points whose slope times distance lands next to the overflow edge.
+            near = tau1 - np.nextafter(edge, np.inf) / gamma + np.linspace(-1e-12, 1e-12, 41)
+            x = np.concatenate((grid, near))
+            spec = TransitionSpec("logistic", tau1, gamma)
+            got = [transition(spec, v).hex() for v in x.tolist()]
+            z = gamma * (x - tau1)
+            reached |= bool(np.any(z < -edge))
+            assert got == [v.hex() for v in expit(z).tolist()]
+        assert reached
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
@@ -208,6 +228,35 @@ class TestErgodicVarianceLimit:
         n = 1_000_000
         riemann = float(np.mean(sigma_path(spec, n) ** 2))
         assert ergodic_variance_limit(spec) == pytest.approx(riemann, abs=1e-4)
+
+    @pytest.mark.parametrize("family", ["logistic", "exponential"])
+    def test_sigma_at_same_bits_as_one_element_array(self, family):
+        # A smooth path is evaluated on the float, to the bits of the
+        # one-element array the other variants use, which squares by
+        # multiplication.
+        tau1 = 0.37
+        grid = np.random.default_rng(22).uniform(0.0, 1.0, 20_000).tolist()
+        assert any((x - tau1) * (x - tau1) != (x - tau1) ** 2 for x in grid)
+        for gamma in np.geomspace(0.5, 1e4, 8).tolist():
+            spec = SigmaSpec.smooth(0.5, 1.5, TransitionSpec(family, tau1, gamma))
+            for x in grid:
+                arr = np.array([x])
+                expected = float(signals._values(spec, arr, np.asarray(spec.fractions), arr)[0])
+                assert signals._sigma_at(spec, x).hex() == expected.hex()
+
+    @pytest.mark.parametrize("spec, bits", [
+        (montecarlo.preset(3)[1],
+         ["0x1.a3d931ace386dp-1", "0x1.000494d1a4217p-3", "0x1.01527323feef2p-2",
+          "0x1.d2a6dce4562d6p-2"]),
+        (SigmaSpec.smooth(math.sqrt(0.5), math.sqrt(1.5), TransitionSpec("exponential", 0.4, 20.0)),
+         ["0x1.1350fb7d5fb4ap+0", "0x1.31a2e5b82327bp-2", "0x1.c693c977e439fp-2",
+          "0x1.6a09008688dc0p-1"]),
+    ], ids=["canonical-logistic", "exponential"])
+    def test_recorded_variance_bits(self, spec, bits):
+        # Recorded when the integrand ran on one-element arrays.
+        got = [ergodic_variance_limit(spec)]
+        got += [signals.partial_variance_limit(spec, tau) for tau in (0.25, 0.5, 0.75)]
+        assert [v.hex() for v in got] == bits
 
     def test_multi_regime_matches_riemann_sum(self):
         spec = SigmaSpec.multi_regime(
