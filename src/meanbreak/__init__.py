@@ -30,9 +30,9 @@ def usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-# Names from modules that import scipy, loaded on first access (PEP 562), so
-# that `import meanbreak.cli` and the `test`, `pvalue` and `quantile` commands
-# load numpy only.
+# Names from the simulation modules, loaded on first access (PEP 562), so that
+# `import meanbreak.cli` and the `test`, `pvalue` and `quantile` commands skip
+# their set-up: the spec classes and the nine preset designs (about 15 ms).
 _LAZY = {
     **dict.fromkeys(
         ("ExperimentConfig", "RejectionTable", "emit_table", "preset", "run_experiment"),

@@ -445,13 +445,14 @@ def cmd_test(args) -> int:
     return EXIT_OK
 
 
-def _read_config_file(path: str) -> dict[str, str]:
+def _read_config_file(path: str) -> dict[str, tuple[int, str]]:
+    """The file's settings: key -> (line number, value)."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise DataError(f"cannot read config {path}: {exc}") from exc
-    options: dict[str, str] = {}
+    options: dict[str, tuple[int, str]] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -467,7 +468,7 @@ def _read_config_file(path: str) -> dict[str, str]:
             )
         if key in options:
             raise DataError(f"{path}:{lineno}: key {key!r} is set twice")
-        options[key] = value.strip()
+        options[key] = (lineno, value.strip())
     return options
 
 
@@ -479,23 +480,35 @@ def _config_from_args(args) -> montecarlo.ExperimentConfig:
     def pick(flag_value, key, convert, default):
         if flag_value not in (None, []):
             return flag_value
-        if key in file_opts:
-            return convert(file_opts[key])
-        return default
+        if key not in file_opts:
+            return default
+        lineno, raw = file_opts[key]
+        try:
+            return convert(raw)
+        except ValueError:
+            raise DataError(f"{args.config}:{lineno}: bad value for {key!r}: {raw!r}") from None
+
+    def tokens(raw: str) -> list[str]:
+        values = raw.replace(",", " ").split()
+        if not values:
+            raise ValueError("empty list")
+        return values
 
     def int_list(raw: str) -> list[int]:
-        return [int(tok) for tok in raw.replace(",", " ").split()]
+        return [int(tok) for tok in tokens(raw)]
 
     def float_list(raw: str) -> list[float]:
-        return [float(tok) for tok in raw.replace(",", " ").split()]
+        return [float(tok) for tok in tokens(raw)]
 
-    series_all = args.all or file_opts.get("series", "").strip() == "all"
-    if series_all:
+    def series_list(raw: str) -> list[int]:
+        return list(montecarlo.PRESET_IDS) if raw == "all" else int_list(raw)
+
+    if args.all:
         series = list(montecarlo.PRESET_IDS)
     else:
-        series = pick(args.series, "series", int_list, None)
-        if not series:
-            raise ValueError("no series selected: pass --series or --all")
+        series = pick(args.series, "series", series_list, None)
+    if not series:
+        raise ValueError("no series selected: pass --series or --all")
     return montecarlo.ExperimentConfig(
         series=tuple(series),
         sample_sizes=tuple(pick(args.n, "n", int_list, [30, 100, 500, 1000])),

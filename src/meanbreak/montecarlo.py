@@ -19,7 +19,6 @@ import io
 import json
 import math
 import zlib
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -237,6 +236,9 @@ def run_experiment(config: ExperimentConfig) -> RejectionTable:
     if processes == 1:
         results = list(map(_cell_chunk, *zip(*tasks)))
     else:
+        # Imported here: a one-process run never loads multiprocessing.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=processes) as pool:
             results = list(pool.map(_cell_chunk, *zip(*tasks)))
     for (label, n), (rejections, degenerate) in zip(cells, results):

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit
 
 __all__ = [
     "TransitionSpec",
@@ -59,6 +58,13 @@ class TransitionSpec:
         object.__setattr__(self, "gamma", float(self.gamma))
 
 
+def _exp_or_inf(v: float) -> float:
+    try:
+        return math.exp(v)
+    except OverflowError:
+        return math.inf
+
+
 def transition(spec: TransitionSpec, x):
     """Evaluate the transition function at x (scalar or array), in [0, 1].
 
@@ -66,11 +72,13 @@ def transition(spec: TransitionSpec, x):
     Exponential: 1 - exp(-gamma (x - tau1)^2).
     Both are evaluated in overflow-safe form.
 
+    The logistic is the formula scipy's ``expit`` evaluates, on libm ``exp``
+    (``math.exp``) for a float and for every element of an array, 0 where
+    ``exp`` overflows.  numpy's own ``exp`` is not libm's on every machine
+    (AVX-512 builds differ in the last bits), and scipy costs 0.3 s to load.
     A Python float (what quadrature passes, once per node) is evaluated
-    without a 0-d array, to the same bits.  The logistic is the formula
-    scipy's ``expit`` evaluates with libm ``exp``, 0 where ``exp`` overflows.
-    The square stays ``** 2``, which is C ``pow`` as on a numpy float64
-    scalar; ``d * d`` rounds differently.
+    without a 0-d array, to the same bits.  The square stays ``** 2``, which
+    is C ``pow`` as on a numpy float64 scalar; ``d * d`` rounds differently.
     """
     if isinstance(x, float):
         d = x - spec.tau1
@@ -82,7 +90,13 @@ def transition(spec: TransitionSpec, x):
         return float(-np.expm1(-spec.gamma * d ** 2))
     arr = np.asarray(x, dtype=np.float64)
     if spec.family == "logistic":
-        out = expit(spec.gamma * (arr - spec.tau1))
+        # A memoryview yields the Python floats math.exp takes, with no list.
+        w = memoryview((-spec.gamma * (arr - spec.tau1)).ravel())
+        try:
+            e = np.fromiter(map(math.exp, w), np.float64, len(w))
+        except OverflowError:
+            e = np.fromiter(map(_exp_or_inf, w), np.float64, len(w))
+        out = (1.0 / (1.0 + e)).reshape(arr.shape)
     else:
         out = -np.expm1(-spec.gamma * (arr - spec.tau1) ** 2)
     return float(out) if np.isscalar(x) else out

@@ -583,6 +583,40 @@ class TestCmdSimulate:
         assert json.loads(base)["master_seed"] == 3
         assert json.loads(overridden)["master_seed"] == 4
 
+    def test_series_flag_overrides_config_all(self, tmp_path, capsys):
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text("series = all\nn = 30\nalpha = 0.05\nreps = 5\nworkers = 1\n")
+        code, out, _ = run_cli(
+            capsys, "simulate", "--config", str(cfg), "--series", "3", "--format", "json"
+        )
+        assert code == 0
+        assert {cell["series"] for cell in json.loads(out)["cells"]} == {"Series 3"}
+        code, out, _ = run_cli(capsys, "simulate", "--config", str(cfg), "--format", "json")
+        assert code == 0
+        assert len({cell["series"] for cell in json.loads(out)["cells"]}) == 9
+
+    @pytest.mark.parametrize("line, key, value", [
+        ("reps = abc", "reps", "abc"),
+        ("alpha = 0.05 x", "alpha", "0.05 x"),
+        ("n = 30, x", "n", "30, x"),
+        ("n =", "n", ""),
+        ("alpha = ,", "alpha", ","),
+    ])
+    def test_bad_config_value(self, tmp_path, capsys, line, key, value):
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text(f"workers = 1\n# a comment\n{line}\n")
+        code, out, err = run_cli(capsys, "simulate", "--config", str(cfg), "--series", "1")
+        assert code == 3
+        assert out == ""
+        assert err == f"error: {cfg}:3: bad value for {key!r}: {value!r}\n"
+
+    def test_out_of_range_config_value_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text("series = 1\nreps = 0\n")
+        code, _, err = run_cli(capsys, "simulate", "--config", str(cfg))
+        assert code == 2
+        assert err == "usage error: replications must lie in 1..2**32\n"
+
     def test_bad_config_line(self, tmp_path, capsys):
         cfg = tmp_path / "sim.cfg"
         cfg.write_text("series 1\n")
@@ -671,20 +705,23 @@ class TestImports:
         assert run_child(code) == "[]"
 
     def test_simulation_leaves_quadrature_out(self):
-        # scipy.integrate loads on the first quadrature, never in a simulation.
+        # A one-process simulation loads neither scipy nor the pool modules,
+        # at the small sizes and at the one-row blocks of n >= 2**14;
+        # scipy.integrate loads on the first quadrature.
         code = (
             "import sys; from meanbreak import montecarlo, signals\n"
             "config = montecarlo.ExperimentConfig(series=tuple(range(1, 10)),"
-            " sample_sizes=(30,), replications=20, workers=1)\n"
+            " sample_sizes=(30, 2**14 + 1), replications=4, workers=1)\n"
             "montecarlo.run_experiment(config)\n"
-            "print('scipy.integrate' in sys.modules)\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'"
+            " or m.startswith(('concurrent.futures', 'multiprocessing'))))\n"
             "value = signals.partial_variance_limit(montecarlo.preset(3)[1], 0.5)\n"
             "print('scipy.integrate' in sys.modules, value.hex())\n"
         )
         from meanbreak import montecarlo, signals
 
         expected = signals.partial_variance_limit(montecarlo.preset(3)[1], 0.5)
-        assert run_child(code).splitlines() == ["False", f"True {expected.hex()}"]
+        assert run_child(code).splitlines() == ["[]", f"True {expected.hex()}"]
 
     def test_small_file_starts_no_pool(self, tmp_path, monkeypatch, capsys):
         # The reader's process pool is for large files; small ones pay neither

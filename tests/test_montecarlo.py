@@ -1,5 +1,6 @@
 """Tests for the rejection-frequency experiment harness and table emission."""
 
+import concurrent.futures
 import dataclasses
 import json
 import math
@@ -145,7 +146,7 @@ class TestRunExperiment:
             def map(self, fn, *iterables):
                 return map(fn, *iterables)
 
-        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
         table = run_experiment(dataclasses.replace(SMALL, workers=workers))
         assert emit_table(table, "json") == emit_table(run_experiment(SMALL), "json")
         return requested

@@ -1,5 +1,6 @@
 """Tests for transition functions, mean/volatility paths, and series synthesis."""
 
+import hashlib
 import math
 import zlib
 
@@ -19,6 +20,9 @@ from meanbreak.signals import (
     sigma_path,
     transition,
 )
+
+
+PATH_SIZES = (30, 100, 500, 1000, 100_000)
 
 
 class TestTransition:
@@ -91,6 +95,53 @@ class TestTransition:
             reached |= bool(np.any(z < -edge))
             assert got == [v.hex() for v in expit(z).tolist()]
         assert reached
+
+    @staticmethod
+    def assert_expit_bits(spec, x):
+        got = transition(spec, x)
+        want = expit(spec.gamma * (np.asarray(x, dtype=np.float64) - spec.tau1))
+        assert np.shape(got) == np.shape(want)
+        assert [v.hex() for v in np.ravel(got).tolist()] == [
+            v.hex() for v in np.ravel(want).tolist()
+        ]
+
+    @pytest.mark.parametrize("n", PATH_SIZES)
+    def test_array_logistic_same_bits_as_expit_on_preset_grids(self, n):
+        grid = np.arange(1, n + 1) / n
+        for spec in (montecarlo.preset(9)[0].transition, montecarlo.preset(9)[1].transition):
+            self.assert_expit_bits(spec, grid)
+
+    def test_array_logistic_same_bits_as_expit(self):
+        # Arrays run libm exp once per element, as expit does, and 0 where it
+        # overflows (z < -709.78).  numpy's exp is not libm's on every
+        # machine: on AVX-512 it moves some values by up to 2 ulp.
+        rng = np.random.default_rng(47)
+        grid = np.concatenate((rng.uniform(-0.5, 1.5, 4000), np.linspace(-0.5, 1.5, 1001)))
+        edge = math.log(np.finfo(np.float64).max)
+        beyond = within = False
+        for gamma in [*np.geomspace(0.5, 1e6, 16).tolist(), 1e6]:
+            tau1 = float(rng.uniform(0.05, 0.95))
+            near = tau1 - np.nextafter(edge, np.inf) / gamma + np.linspace(-1e-12, 1e-12, 41)
+            spec = TransitionSpec("logistic", tau1, gamma)
+            self.assert_expit_bits(spec, grid)
+            self.assert_expit_bits(spec, near)
+            z = gamma * (near - tau1)
+            beyond |= bool(np.any(z < -edge))
+            within |= bool(np.any((z >= -edge) & (z < 1.0 - edge)))
+        assert beyond and within
+        spec = TransitionSpec("logistic", 0.3, 20.0)
+        with np.errstate(all="raise"):
+            self.assert_expit_bits(spec, [-np.inf, np.inf, np.nan, 0.3, -1e300, 1e300])
+        assert transition(spec, np.array([-np.inf, np.inf])).tolist() == [0.0, 1.0]
+        assert np.isnan(transition(spec, np.array([np.nan]))).all()
+
+    @pytest.mark.parametrize("x", [
+        np.array(0.25), np.linspace(0.0, 1.0, 12).reshape(3, 4), np.array([]), np.empty((0, 3)),
+    ], ids=["0-d", "2-D", "empty", "empty-2-D"])
+    def test_array_logistic_shapes(self, x):
+        spec = TransitionSpec("logistic", 0.4, 9.0)
+        self.assert_expit_bits(spec, x)
+        assert transition(spec, x).dtype == np.float64
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
@@ -193,6 +244,38 @@ class TestSigmaPath:
         assert path[0] == pytest.approx(1.0, abs=1e-6)  # x=0.1, regime 1
         assert path[4] == pytest.approx(2.0, abs=1e-6)  # x=0.5, regime 2
         assert path[9] == pytest.approx(3.0, abs=1e-6)  # x=1.0, regime 3
+
+    # sha256 of the mean and sigma paths of presets 1-9 in turn, recorded when
+    # the array logistic called scipy's expit.
+    @pytest.mark.parametrize("n, digest", zip(PATH_SIZES, (
+        "be315e2a908b95d2", "5fdc0002c9793b68", "6ca78f0bf702d9bc",
+        "16227e995ac437b9", "b49232d83e632dc4",
+    )))
+    def test_preset_paths_recorded_bits(self, n, digest):
+        h = hashlib.sha256()
+        for series in montecarlo.PRESET_IDS:
+            mean, sigma = montecarlo.preset(series)
+            h.update(mean_path(mean, n).tobytes())
+            h.update(sigma_path(sigma, n).tobytes())
+        assert h.hexdigest()[:16] == digest
+
+    @pytest.mark.parametrize("n", PATH_SIZES)
+    def test_multi_regime_logistic_same_bits_as_expit(self, monkeypatch, n):
+        spec = SigmaSpec.multi_regime(
+            levels=(1.0, 2.5, 0.7),
+            locations=(0.3, 0.7),
+            scales=(0.05, 0.002),
+            transitions=(
+                TransitionSpec("logistic", 0.1, 3.0),
+                TransitionSpec("logistic", 0.6, 40.0),
+            ),
+        )
+        got = sigma_path(spec, n)
+        with monkeypatch.context() as patch:
+            patch.setattr(signals, "transition", lambda shape, z: expit(
+                shape.gamma * (np.asarray(z, dtype=np.float64) - shape.tau1)))
+            want = sigma_path(spec, n)
+        assert [v.hex() for v in got.tolist()] == [v.hex() for v in want.tolist()]
 
     def test_multi_regime_validation(self):
         good = dict(
