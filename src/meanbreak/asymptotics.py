@@ -3,20 +3,24 @@ limiting variances of the null variance estimator under both alternatives,
 and the normalized partial-sum process used for FCLT diagnostics.
 
 The drift function is T(tau) = int_0^tau F - tau * int_0^1 F for a transition
-F.  Closed forms are derived from the antiderivatives of the logistic and
-exponential transitions and are validated against adaptive quadrature (which
-is the ground truth throughout).
+F.  The drift and the limiting variances are closed forms, from the
+antiderivatives of F and F^2 in ``signals``.  ``drift_quadrature`` integrates
+T numerically, on a graded Gauss-Legendre rule, as an independent check of
+the closed forms.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from meanbreak.signals import TransitionSpec, _quad, partial_variance_limit, transition
+from meanbreak import signals
+from meanbreak.signals import TransitionSpec, partial_variance_limit, transition
 
 __all__ = [
     "drift_quadrature",
@@ -29,39 +33,67 @@ __all__ = [
     "wn_path",
 ]
 
+_NODES, _WEIGHTS = np.polynomial.legendre.leggauss(20)
 
-def drift_quadrature(spec: TransitionSpec, tau: float) -> float:
-    """T(tau) by adaptive quadrature, subdividing around the transition
-    location where steep slopes make the integrand nearly discontinuous."""
-    tau = float(tau)
-    if not 0.0 <= tau <= 1.0:
-        raise ValueError(f"tau must lie in [0, 1], got {tau}")
-    i_tau = _quad(lambda x: transition(spec, x), 0.0, tau, [spec.tau1])
-    return i_tau - tau * _mean_transition(spec)
+
+def _gauss(fn, a: float, b: float) -> float:
+    """int_a^b fn by the 20-node Gauss-Legendre rule; fn takes an array."""
+    half = 0.5 * (b - a)
+    return half * float(_WEIGHTS @ fn(0.5 * (a + b) + half * _NODES))
+
+
+def _graded_edges(centre: float, width: float, lo: float, hi: float) -> list[float]:
+    """Panel edges on [lo, hi] at ``centre`` and centre +- 2^k width: panels
+    double in length away from a layer of the given width, so that each
+    holds the integrand to about the same relative accuracy."""
+    edges = {lo, hi}
+    if lo < centre < hi:
+        edges.add(centre)
+    step = width
+    while centre - step > lo or centre + step < hi:
+        edges.update(e for e in (centre - step, centre + step) if lo < e < hi)
+        step *= 2.0
+    return sorted(edges)
 
 
 @functools.lru_cache(maxsize=256)
-def _mean_transition(spec: TransitionSpec) -> float:
-    """int_0^1 F by quadrature, once per transition: a drift grid needs it at
-    every tau.  The spec is frozen, and equal specs give the same bits."""
-    return _quad(lambda x: transition(spec, x), 0.0, 1.0, [spec.tau1])
+def _panels(spec: TransitionSpec):
+    """Panel edges on [0, 1] around the transition layer, whose width is
+    1/gamma (logistic) or 1/sqrt(gamma) (exponential), and int_0^edge F at
+    each edge, once per spec: a drift grid then integrates one partial
+    panel per tau.  The spec is frozen, and equal specs give the same bits."""
+    width = 1.0 / spec.gamma if spec.family == "logistic" else 1.0 / math.sqrt(spec.gamma)
+    edges = _graded_edges(spec.tau1, width, 0.0, 1.0)
+    f = functools.partial(transition, spec)
+    panels = (_gauss(f, a, b) for a, b in zip(edges, edges[1:]))
+    return tuple(edges), tuple(itertools.accumulate(panels, initial=0.0))
+
+
+def drift_quadrature(spec: TransitionSpec, tau: float) -> float:
+    """T(tau) by a graded Gauss-Legendre rule (see ``_panels``): the numeric
+    check of the closed forms, which shares no antiderivative with them."""
+    tau = float(tau)
+    if not 0.0 <= tau <= 1.0:
+        raise ValueError(f"tau must lie in [0, 1], got {tau}")
+    edges, cumulative = _panels(spec)
+    i = bisect.bisect_right(edges, tau) - 1
+    partial = _gauss(functools.partial(transition, spec), edges[i], tau)
+    return cumulative[i] + partial - tau * cumulative[-1]
+
+
+def _closed_drift(moments, tau1: float, gamma: float, tau: float) -> float:
+    if gamma <= 0.0:
+        raise ValueError("gamma must be positive")
+    return moments(tau1, gamma, 0.0, tau)[0] - tau * moments(tau1, gamma, 0.0, 1.0)[0]
 
 
 def drift_closed_logistic(tau1: float, gamma: float, tau: float) -> float:
     """Closed-form T(tau) for the logistic transition.
 
     Uses int_0^tau F = (softplus(gamma (tau - tau1)) - softplus(-gamma tau1))
-    / gamma, evaluated with logaddexp so large gamma cannot overflow.
+    / gamma, in a form that cannot overflow at any slope.
     """
-    if gamma <= 0.0:
-        raise ValueError("gamma must be positive")
-
-    def antiderivative(upper: float) -> float:
-        hi = np.logaddexp(0.0, gamma * (upper - tau1))
-        lo = np.logaddexp(0.0, -gamma * tau1)
-        return float(hi - lo) / gamma
-
-    return antiderivative(tau) - tau * antiderivative(1.0)
+    return _closed_drift(signals._logistic_moments, tau1, gamma, tau)
 
 
 def drift_closed_exponential(tau1: float, gamma: float, tau: float) -> float:
@@ -70,15 +102,7 @@ def drift_closed_exponential(tau1: float, gamma: float, tau: float) -> float:
     Uses int_0^tau F = tau - sqrt(pi / (4 gamma)) * (erf(sqrt(gamma) (tau -
     tau1)) + erf(sqrt(gamma) tau1)).
     """
-    if gamma <= 0.0:
-        raise ValueError("gamma must be positive")
-    root = math.sqrt(gamma)
-    c = math.sqrt(math.pi / (4.0 * gamma))
-
-    def antiderivative(upper: float) -> float:
-        return upper - c * (math.erf(root * (upper - tau1)) + math.erf(root * tau1))
-
-    return antiderivative(tau) - tau * antiderivative(1.0)
+    return _closed_drift(signals._exponential_moments, tau1, gamma, tau)
 
 
 @dataclass(frozen=True)
@@ -111,8 +135,7 @@ def limit_variance_smooth(
     mean transition F."""
     if sigma_bar2 <= 0.0:
         raise ValueError("sigma_bar2 must be positive")
-    mean_f = _mean_transition(spec)
-    mean_f2 = _quad(lambda x: transition(spec, x) ** 2, 0.0, 1.0, [spec.tau1])
+    mean_f, mean_f2 = signals._transition_moments(spec, 0.0, 1.0)
     shift = (mu2 - mu1) ** 2 * max(mean_f2 - mean_f**2, 0.0)
     return LimitVariance(sigma_star2=sigma_bar2 + shift, sigma_bar2=sigma_bar2, shift_term=shift)
 

@@ -593,8 +593,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_test.set_defaults(func=cmd_test)
 
     p_sim = sub.add_parser("simulate", help="run a rejection-frequency experiment")
-    p_sim.add_argument("--series", type=int, action="append", help="preset id 1..9")
-    p_sim.add_argument("--all", action="store_true", help="all nine presets")
+    which = p_sim.add_mutually_exclusive_group()
+    which.add_argument("--series", type=int, action="append", help="preset id 1..9")
+    which.add_argument("--all", action="store_true", help="all nine presets")
     p_sim.add_argument("--n", type=int, action="append", help="sample size")
     p_sim.add_argument("--alpha", type=float, action="append", help="significance level")
     p_sim.add_argument("--reps", type=int, default=None)

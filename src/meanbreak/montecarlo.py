@@ -106,6 +106,9 @@ class ExperimentConfig:
     workers: int = 1
 
     def __post_init__(self) -> None:
+        for name in ("series", "sample_sizes", "levels"):
+            if not getattr(self, name):
+                raise ValueError(f"{name} must not be empty")
         # Replication indices are one 32-bit word of the stream's seed.
         if not 1 <= self.replications <= 2**32:
             raise ValueError("replications must lie in 1..2**32")

@@ -73,21 +73,12 @@ def transition(spec: TransitionSpec, x):
     Both are evaluated in overflow-safe form.
 
     The logistic is the formula scipy's ``expit`` evaluates, on libm ``exp``
-    (``math.exp``) for a float and for every element of an array, 0 where
-    ``exp`` overflows.  numpy's own ``exp`` is not libm's on every machine
-    (AVX-512 builds differ in the last bits), and scipy costs 0.3 s to load.
-    A Python float (what quadrature passes, once per node) is evaluated
-    without a 0-d array, to the same bits.  The square stays ``** 2``, which
-    is C ``pow`` as on a numpy float64 scalar; ``d * d`` rounds differently.
+    (``math.exp``) for every element, 0 where ``exp`` overflows.  numpy's own
+    ``exp`` is not libm's on every machine (AVX-512 builds differ in the last
+    bits), and scipy is no runtime dependency.  A scalar runs as a 0-d array,
+    whose ``** 2`` is C ``pow``; a longer array squares by multiplication
+    (numpy's fast ``** 2``), which rounds differently.
     """
-    if isinstance(x, float):
-        d = x - spec.tau1
-        if spec.family == "logistic":
-            try:
-                return 1.0 / (1.0 + math.exp(-spec.gamma * d))
-            except OverflowError:
-                return 0.0
-        return float(-np.expm1(-spec.gamma * d ** 2))
     arr = np.asarray(x, dtype=np.float64)
     if spec.family == "logistic":
         # A memoryview yields the Python floats math.exp takes, with no list.
@@ -259,38 +250,44 @@ def _multi_regime_values(spec: SigmaSpec, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _sigma_at(spec: SigmaSpec, x: float) -> float:
-    """Volatility at the continuous sample fraction x in [0, 1], for
-    quadrature: step regimes assign x <= tau_j to regime j (boundary points
-    have measure zero under integration).
-
-    A smooth path is evaluated on the float, to the bits of the one-element
-    array the other variants go through: the exponential family squares by
-    multiplication, as numpy does for an array ``** 2``.
-    """
-    if spec.variant == "smooth":
-        lo, hi = spec.levels
-        shape = spec.transition
-        if shape.family == "logistic":
-            f = transition(shape, x)
-        else:
-            d = x - shape.tau1
-            f = -np.expm1(-shape.gamma * (d * d))
-        return float(lo + (hi - lo) * f)
-    arr = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    return float(_values(spec, arr, np.asarray(spec.fractions), arr)[0])
+def _logistic_moments(tau1: float, gamma: float, a: float, b: float):
+    """int_a^b F and int_a^b F^2 of the logistic transition: int F =
+    softplus(gamma (x - tau1)) / gamma, and F' = gamma F (1 - F) gives
+    int F^2 = int F - F / gamma.  exp(-|z|) cannot overflow."""
+    ends = []
+    for x in (a, b):
+        z = gamma * (x - tau1)
+        e = math.exp(-abs(z))
+        ends.append((max(z, 0.0) + math.log1p(e), (1.0 if z >= 0.0 else e) / (1.0 + e)))
+    (soft_a, f_a), (soft_b, f_b) = ends
+    m1 = (soft_b - soft_a) / gamma
+    return m1, m1 - (f_b - f_a) / gamma
 
 
-def _quad(fn, a: float, b: float, interior) -> float:
-    # Imported here, not at the top: scipy.integrate loads scipy.optimize,
-    # linalg, sparse and more, and no simulation integrates.
-    from scipy import integrate
+def _exponential_moments(tau1: float, gamma: float, a: float, b: float):
+    """int_a^b F and int_a^b F^2 of the exponential transition: with u = x -
+    tau1, F^2 = 1 - 2 exp(-gamma u^2) + exp(-2 gamma u^2), and int exp(-c u^2)
+    = sqrt(pi / c) erf(sqrt(c) u) / 2."""
+    root, root2 = math.sqrt(gamma), math.sqrt(2.0 * gamma)
+    half = 0.5 * math.sqrt(math.pi / gamma)
+    e1 = math.erf(root * (b - tau1)) - math.erf(root * (a - tau1))
+    e2 = math.erf(root2 * (b - tau1)) - math.erf(root2 * (a - tau1))
+    m1 = (b - a) - half * e1
+    return m1, (b - a) - 2.0 * half * e1 + half / math.sqrt(2.0) * e2
 
-    if b <= a:
-        return 0.0
-    points = [p for p in interior if a < p < b]
-    value, _ = integrate.quad(fn, a, b, points=points or None, epsabs=1e-10, limit=200)
-    return value
+
+def _transition_moments(spec: TransitionSpec, a: float, b: float):
+    """(int_a^b F, int_a^b F^2) of the transition F in closed form, for any
+    real a and b."""
+    moments = _logistic_moments if spec.family == "logistic" else _exponential_moments
+    return moments(spec.tau1, spec.gamma, a, b)
+
+
+def _blend_square_integral(lo: float, hi: float, spec: TransitionSpec, a: float, b: float):
+    """int_a^b (lo + (hi - lo) F)^2 for the transition F of ``spec``."""
+    m1, m2 = _transition_moments(spec, a, b)
+    d = hi - lo
+    return lo * lo * (b - a) + 2.0 * lo * d * m1 + d * d * m2
 
 
 def partial_variance_limit(spec: SigmaSpec, tau: float) -> float:
@@ -298,8 +295,9 @@ def partial_variance_limit(spec: SigmaSpec, tau: float) -> float:
 
     Normalized by the full ergodic variance this is the limiting variance of
     the partial-sum process at sample fraction tau; it reduces to tau *
-    sigma^2 for a constant volatility path.  Closed form for constant and
-    step paths, quadrature of the squared path otherwise.
+    sigma^2 for a constant volatility path.  Closed form for every variant:
+    a smooth or multi-regime path squares to a*a + 2ab F + b*b F^2 on each
+    piece, whose integrals ``_transition_moments`` gives.
     """
     tau = float(tau)
     if not 0.0 <= tau <= 1.0:
@@ -311,8 +309,21 @@ def partial_variance_limit(spec: SigmaSpec, tau: float) -> float:
         levels2 = np.square(np.asarray(spec.levels))
         widths = np.minimum(edges[1:], tau) - np.minimum(edges[:-1], tau)
         return float(widths @ levels2)
-    interior = [spec.transition.tau1] if spec.variant == "smooth" else list(spec.locations)
-    return _quad(lambda x: _sigma_at(spec, x) ** 2, 0.0, tau, interior)
+    if spec.variant == "smooth":
+        return _blend_square_integral(*spec.levels, spec.transition, 0.0, tau)
+    # Multi-regime: between the midpoints around location j (the pieces of
+    # _multi_regime_values) the path is transition j of (x - loc) / scale.
+    locs = spec.locations
+    edges = (0.0, *(0.5 * (p + q) for p, q in zip(locs, locs[1:])), 1.0)
+    total = 0.0
+    for j, (loc, scale, shape) in enumerate(zip(locs, spec.scales, spec.transitions)):
+        lo, hi = edges[j], min(edges[j + 1], tau)
+        if hi <= lo:
+            break
+        total += scale * _blend_square_integral(
+            spec.levels[j], spec.levels[j + 1], shape, (lo - loc) / scale, (hi - loc) / scale
+        )
+    return total
 
 
 def ergodic_variance_limit(spec: SigmaSpec) -> float:

@@ -18,7 +18,8 @@ from meanbreak.asymptotics import (
     partial_variance_limit,
     wn_path,
 )
-from meanbreak.signals import SigmaSpec, TransitionSpec, ergodic_variance_limit
+from meanbreak.signals import SigmaSpec, TransitionSpec, ergodic_variance_limit, transition
+from referee import GAMMAS, QUAD_MAX_GAMMA, adaptive, graded, layer_width
 
 
 class TestDriftQuadrature:
@@ -39,13 +40,12 @@ class TestDriftQuadrature:
             drift_quadrature(spec, 1.1)
 
 
-    # Values recorded before quadrature integrands took Python floats
-    # (x86-64 Linux, glibc libm); the scalar transition path must reproduce
-    # them bit for bit.
+    # Values recorded on the graded Gauss-Legendre rule (x86-64 Linux, glibc
+    # libm, numpy 2.4).
     @pytest.mark.parametrize("family, tau1, gamma, tau, expected", [
         ("logistic", 0.5, 20.0, 0.3, "-0x1.315899c32ea8ep-3"),
-        ("logistic", 0.2, 100.0, 0.77, "-0x1.78d4fdf45d140p-5"),
-        ("exponential", 0.5, 20.0, 0.3, "0x1.406477623434ap-4"),
+        ("logistic", 0.2, 100.0, 0.77, "-0x1.78d4fdf45d110p-5"),
+        ("exponential", 0.5, 20.0, 0.3, "0x1.4064776234350p-4"),
         ("exponential", 0.8, 100.0, 0.61, "0x1.b73493b6b4e70p-4"),
         ("exponential", 0.2, 1e4, 0.5, "-0x1.22661a4eeadc0p-7"),
     ])
@@ -54,29 +54,34 @@ class TestDriftQuadrature:
         assert drift_quadrature(spec, tau).hex() == expected
 
     def test_mean_of_transition_integrated_once(self, monkeypatch):
-        # int_0^1 F is memoised per spec: a 99-point drift grid integrates
-        # it once, and an equal spec built separately reuses the value.
-        quad, spans = asymptotics._quad, []
+        # The panel sums, int_0^1 F among them, are memoised per spec: a
+        # 99-point drift grid integrates each panel once and one partial
+        # panel per tau, and an equal spec built separately reuses the sums.
+        gauss, spans = asymptotics._gauss, []
 
-        def counting_quad(fn, a, b, interior):
+        def counting_gauss(fn, a, b):
             spans.append((a, b))
-            return quad(fn, a, b, interior)
+            return gauss(fn, a, b)
 
-        monkeypatch.setattr(asymptotics, "_quad", counting_quad)
-        asymptotics._mean_transition.cache_clear()
+        monkeypatch.setattr(asymptotics, "_gauss", counting_gauss)
+        asymptotics._panels.cache_clear()
         spec = TransitionSpec("exponential", 0.35, 40.0)
         grid = np.linspace(0.01, 0.99, 99).tolist()
         first = [drift_quadrature(spec, t).hex() for t in grid]
-        assert len(spans) == 100
-        assert spans.count((0.0, 1.0)) == 1
+        edges = asymptotics._panels(spec)[0]
+        panels = list(zip(edges, edges[1:]))
+        assert len(panels) > 2
+        assert spans[:len(panels)] == panels
+        assert len(spans) == len(panels) + 99
 
         twin = TransitionSpec("exponential", 0.35, 40.0)
         assert twin is not spec
         assert [drift_quadrature(twin, t).hex() for t in grid] == first
-        assert spans.count((0.0, 1.0)) == 1
-        # limit_variance_smooth integrates only F^2 over [0, 1] itself.
+        assert len(spans) == len(panels) + 2 * 99
+        # The closed forms integrate nothing.
         limit_variance_smooth(twin, 1.0, 2.0, 1.0)
-        assert spans.count((0.0, 1.0)) == 2
+        drift_closed_exponential(0.35, 40.0, 0.5)
+        assert len(spans) == len(panels) + 2 * 99
 
     def test_spec_from_numpy_scalars_is_a_memo_key(self):
         plain = TransitionSpec("logistic", 0.5, 20.0)
@@ -118,6 +123,24 @@ class TestClosedForms:
         with pytest.raises(ValueError):
             drift_closed_exponential(0.5, -1.0, 0.5)
 
+    @pytest.mark.parametrize("gamma", GAMMAS)
+    @pytest.mark.parametrize("family", ["logistic", "exponential"])
+    def test_drift_against_referees(self, family, gamma):
+        # The graded Gauss-Legendre rule at every slope; QUADPACK as well
+        # where it resolves the transition layer.
+        closed = drift_closed_logistic if family == "logistic" else drift_closed_exponential
+        grid = np.linspace(0.0, 1.0, 41).tolist()
+        for tau1 in (0.2, 0.5, 0.8):
+            spec = TransitionSpec(family, tau1, gamma)
+            values = np.array([closed(tau1, gamma, t) for t in grid])
+            reference = np.array([drift_quadrature(spec, t) for t in grid])
+            assert np.abs(values - reference).max() <= 1e-12
+            if gamma <= QUAD_MAX_GAMMA:
+                f = lambda x: transition(spec, x)
+                mean = adaptive(f, 0.0, 1.0, tau1)
+                reference = np.array([adaptive(f, 0.0, t, tau1) - t * mean for t in grid])
+                assert np.abs(values - reference).max() <= 1e-12
+
     def test_nondegenerate_drift(self):
         grid = np.linspace(0.01, 0.99, 99)
         for family in ("logistic", "exponential"):
@@ -150,15 +173,31 @@ class TestLimitVariances:
         lv = limit_variance_smooth(spec, 1.0, 2.0, 1.0)
         assert lv.sigma_star2 == pytest.approx(1.0, abs=1e-9)
 
-    # Recorded as the drift values in TestDriftQuadrature.test_recorded_bits.
+    # Recorded as the drift values in TestDriftQuadrature.test_recorded_bits,
+    # from the closed-form moments.
     @pytest.mark.parametrize("family, tau1, gamma, expected", [
         ("logistic", 0.5, 20.0, "0x1.33337f5d6fa6cp+0"),
         ("exponential", 0.2, 100.0, "0x1.1814347014161p+0"),
-        ("exponential", 0.8, 1e4, "0x1.0320c8808b1bfp+0"),
+        ("exponential", 0.8, 1e4, "0x1.0320c8808b1bep+0"),
     ])
     def test_smooth_recorded_bits(self, family, tau1, gamma, expected):
         spec = TransitionSpec(family, tau1, gamma)
         assert limit_variance_smooth(spec, 1.0, 2.0, 1.0).sigma_star2.hex() == expected
+
+    @pytest.mark.parametrize("gamma", GAMMAS)
+    @pytest.mark.parametrize("family", ["logistic", "exponential"])
+    def test_smooth_against_referees(self, family, gamma):
+        # The shift is (mu2 - mu1)^2 (int F^2 - (int F)^2) over [0, 1].
+        spec = TransitionSpec(family, 0.3, gamma)
+        shift = limit_variance_smooth(spec, 1.0, 3.0, 1.0).shift_term
+        f = lambda x: transition(spec, x)
+        f2 = lambda x: transition(spec, x) ** 2
+        width = layer_width(spec)
+        reference = 4.0 * (graded(f2, 0.0, 1.0, 0.3, width) - graded(f, 0.0, 1.0, 0.3, width) ** 2)
+        assert abs(shift - reference) <= 1e-12
+        if gamma <= QUAD_MAX_GAMMA:
+            reference = 4.0 * (adaptive(f2, 0.0, 1.0, 0.3) - adaptive(f, 0.0, 1.0, 0.3) ** 2)
+            assert abs(shift - reference) <= 1e-12
 
     @given(
         tau1=st.floats(min_value=0.01, max_value=0.99),

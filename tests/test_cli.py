@@ -541,6 +541,12 @@ class TestCmdSimulate:
         assert code == 2
         assert "series" in err
 
+    def test_all_with_series_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "simulate", "--all", "--series", "3", "--reps", "5")
+        assert code == 2
+        assert out == ""
+        assert "argument --series: not allowed with argument --all" in err
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -706,8 +712,8 @@ class TestImports:
 
     def test_simulation_leaves_quadrature_out(self):
         # A one-process simulation loads neither scipy nor the pool modules,
-        # at the small sizes and at the one-row blocks of n >= 2**14;
-        # scipy.integrate loads on the first quadrature.
+        # at the small sizes and at the one-row blocks of n >= 2**14, and
+        # the limit quantities, closed forms all, load no scipy module.
         code = (
             "import sys; from meanbreak import montecarlo, signals\n"
             "config = montecarlo.ExperimentConfig(series=tuple(range(1, 10)),"
@@ -716,12 +722,48 @@ class TestImports:
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'"
             " or m.startswith(('concurrent.futures', 'multiprocessing'))))\n"
             "value = signals.partial_variance_limit(montecarlo.preset(3)[1], 0.5)\n"
-            "print('scipy.integrate' in sys.modules, value.hex())\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'), value.hex())\n"
         )
         from meanbreak import montecarlo, signals
 
         expected = signals.partial_variance_limit(montecarlo.preset(3)[1], 0.5)
-        assert run_child(code).splitlines() == ["[]", f"True {expected.hex()}"]
+        assert run_child(code).splitlines() == ["[]", f"[] {expected.hex()}"]
+
+    def test_limit_quantities_need_no_scipy(self):
+        # With scipy blocked from import: every asymptotics function, the
+        # ergodic variance of all four volatility variants, and `simulate
+        # --diagnostics`, to the same bits as here.
+        queries = (
+            "t = s.TransitionSpec('exponential', 0.3, 50.0)\n"
+            "sigmas = [s.SigmaSpec.constant(2.0), montecarlo.preset(2)[1],"
+            " montecarlo.preset(3)[1], s.SigmaSpec.multi_regime((1.0, 2.0, 0.5), (0.3, 0.7),"
+            " (0.05, 0.05), (s.TransitionSpec('logistic', 0.5, 1.0), t))]\n"
+            "values = [a.drift_quadrature(t, 0.4), a.drift_closed_logistic(0.3, 50.0, 0.4),"
+            " a.drift_closed_exponential(0.3, 50.0, 0.4),"
+            " a.limit_variance_abrupt(0.3, 1.0, 2.0, 1.0).sigma_star2,"
+            " a.limit_variance_smooth(t, 1.0, 2.0, 1.0).sigma_star2,"
+            " a.partial_variance_limit(sigmas[3], 0.4), float(a.wn_path([1.0, -2.0], 2.0)[-1])]\n"
+            "values += [s.ergodic_variance_limit(v) for v in sigmas]\n"
+        )
+        code = (
+            "import contextlib, io, sys\n"
+            "sys.modules['scipy'] = None\n"
+            "from meanbreak import asymptotics as a, montecarlo, signals as s\n"
+            "from meanbreak.cli import main\n"
+            f"{queries}"
+            "print([v.hex() for v in values])\n"
+            "err = io.StringIO()\n"
+            "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):\n"
+            "    code = main(['simulate', '--series', '3', '--n', '100', '--reps', '50',"
+            " '--workers', '1', '--diagnostics'])\n"
+            "print(code, err.getvalue().count('  limit '))\n"
+        )
+        from meanbreak import asymptotics, montecarlo, signals
+
+        scope = {"a": asymptotics, "s": signals, "montecarlo": montecarlo}
+        exec(queries, scope)
+        expected = str([v.hex() for v in scope["values"]])
+        assert run_child(code).splitlines() == [expected, "0 3"]
 
     def test_small_file_starts_no_pool(self, tmp_path, monkeypatch, capsys):
         # The reader's process pool is for large files; small ones pay neither

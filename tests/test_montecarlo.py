@@ -82,6 +82,11 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match=message):
             ExperimentConfig(**fields)
 
+    @pytest.mark.parametrize("name", ["series", "sample_sizes", "levels"])
+    def test_empty_axis_rejected(self, name):
+        with pytest.raises(ValueError, match=f"^{name} must not be empty$"):
+            ExperimentConfig(**{name: ()})
+
     def test_largest_replication_count_accepted(self):
         assert ExperimentConfig(replications=2**32).replications == 2**32
 

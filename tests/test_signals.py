@@ -20,6 +20,7 @@ from meanbreak.signals import (
     sigma_path,
     transition,
 )
+from referee import GAMMAS, QUAD_MAX_GAMMA, adaptive, graded, layer_width
 
 
 PATH_SIZES = (30, 100, 500, 1000, 100_000)
@@ -312,34 +313,39 @@ class TestErgodicVarianceLimit:
         riemann = float(np.mean(sigma_path(spec, n) ** 2))
         assert ergodic_variance_limit(spec) == pytest.approx(riemann, abs=1e-4)
 
-    @pytest.mark.parametrize("family", ["logistic", "exponential"])
-    def test_sigma_at_same_bits_as_one_element_array(self, family):
-        # A smooth path is evaluated on the float, to the bits of the
-        # one-element array the other variants use, which squares by
-        # multiplication.
-        tau1 = 0.37
-        grid = np.random.default_rng(22).uniform(0.0, 1.0, 20_000).tolist()
-        assert any((x - tau1) * (x - tau1) != (x - tau1) ** 2 for x in grid)
-        for gamma in np.geomspace(0.5, 1e4, 8).tolist():
-            spec = SigmaSpec.smooth(0.5, 1.5, TransitionSpec(family, tau1, gamma))
-            for x in grid:
-                arr = np.array([x])
-                expected = float(signals._values(spec, arr, np.asarray(spec.fractions), arr)[0])
-                assert signals._sigma_at(spec, x).hex() == expected.hex()
-
     @pytest.mark.parametrize("spec, bits", [
         (montecarlo.preset(3)[1],
-         ["0x1.a3d931ace386dp-1", "0x1.000494d1a4217p-3", "0x1.01527323feef2p-2",
+         ["0x1.a3d931ace386cp-1", "0x1.000494d1a4218p-3", "0x1.01527323feef2p-2",
           "0x1.d2a6dce4562d6p-2"]),
         (SigmaSpec.smooth(math.sqrt(0.5), math.sqrt(1.5), TransitionSpec("exponential", 0.4, 20.0)),
-         ["0x1.1350fb7d5fb4ap+0", "0x1.31a2e5b82327bp-2", "0x1.c693c977e439fp-2",
+         ["0x1.1350fb7d5fb4ap+0", "0x1.31a2e5b82327bp-2", "0x1.c693c977e439ep-2",
           "0x1.6a09008688dc0p-1"]),
     ], ids=["canonical-logistic", "exponential"])
     def test_recorded_variance_bits(self, spec, bits):
-        # Recorded when the integrand ran on one-element arrays.
+        # Recorded from the closed-form moments (x86-64 Linux, glibc libm).
         got = [ergodic_variance_limit(spec)]
         got += [signals.partial_variance_limit(spec, tau) for tau in (0.25, 0.5, 0.75)]
         assert [v.hex() for v in got] == bits
+
+    @pytest.mark.parametrize("gamma", GAMMAS)
+    @pytest.mark.parametrize("family", ["logistic", "exponential"])
+    def test_closed_forms_against_referees(self, family, gamma):
+        specs = [
+            SigmaSpec.smooth(0.5, 1.5, TransitionSpec(family, 0.4, gamma)),
+            SigmaSpec.multi_regime(
+                levels=(1.0, 2.0, 0.5),
+                locations=(0.3, 0.7),
+                scales=(0.05, 0.2),
+                transitions=(TransitionSpec(family, 0.5, gamma), TransitionSpec(family, 0.2, gamma)),
+            ),
+        ]
+        for spec in specs:
+            for tau in (0.1, 0.35, 0.5, 0.8, 1.0):
+                got = signals.partial_variance_limit(spec, tau)
+                assert abs(got - variance_referee(spec, tau, graded)) <= 1e-12
+                # A multi-regime transition is 1/scale times steeper in x.
+                if gamma / min(spec.scales, default=1.0) <= QUAD_MAX_GAMMA:
+                    assert abs(got - variance_referee(spec, tau, adaptive)) <= 1e-12
 
     def test_multi_regime_matches_riemann_sum(self):
         spec = SigmaSpec.multi_regime(
@@ -354,6 +360,57 @@ class TestErgodicVarianceLimit:
         n = 1_000_000
         riemann = float(np.mean(sigma_path(spec, n) ** 2))
         assert ergodic_variance_limit(spec) == pytest.approx(riemann, abs=1e-4)
+
+
+def variance_referee(spec: SigmaSpec, tau: float, integrate) -> float:
+    """int_0^tau sigma^2 of a smooth or multi-regime path by ``graded`` or
+    ``adaptive``, on the pieces where the path follows one transition."""
+    if spec.variant == "smooth":
+        pieces = [(0.0, 1.0, 0.0, 1.0, spec.transition)]
+    else:
+        locs = spec.locations
+        cuts = [0.0, *(0.5 * (p + q) for p, q in zip(locs, locs[1:])), 1.0]
+        pieces = [
+            (cuts[j], cuts[j + 1], loc, scale, shape)
+            for j, (loc, scale, shape) in enumerate(zip(locs, spec.scales, spec.transitions))
+        ]
+
+    def square(x):
+        return signals._values(spec, x, (), None) ** 2
+
+    total = 0.0
+    for lo, hi, loc, scale, shape in pieces:
+        hi = min(hi, tau)
+        if hi <= lo:
+            continue
+        centre = loc + scale * shape.tau1
+        if integrate is graded:
+            total += graded(square, lo, hi, centre, scale * layer_width(shape))
+        else:
+            total += adaptive(lambda x: float(square(np.array([x]))[0]), lo, hi, centre)
+    return total
+
+
+class TestTransitionMoments:
+    @pytest.mark.parametrize("gamma", GAMMAS)
+    @pytest.mark.parametrize("family", ["logistic", "exponential"])
+    def test_against_referees(self, family, gamma):
+        shape = TransitionSpec(family, 0.37, gamma)
+        f = lambda x: transition(shape, x)
+        f2 = lambda x: transition(shape, x) ** 2
+        width = layer_width(shape)
+        unit = [(0.0, t) for t in np.linspace(0.05, 1.0, 20).tolist()]
+        # A multi-regime piece can reach outside [0, 1] in the transition's
+        # own coordinate.
+        for a, b in unit + [(-3.0, 2.5), (-6.0, -1.0), (0.5, 4.0), (0.2, 0.2)]:
+            m1, m2 = signals._transition_moments(shape, a, b)
+            assert abs(m1 - graded(f, a, b, 0.37, width)) <= 1e-12
+            assert abs(m2 - graded(f2, a, b, 0.37, width)) <= 1e-12
+        if gamma <= QUAD_MAX_GAMMA:
+            for a, b in unit:
+                m1, m2 = signals._transition_moments(shape, a, b)
+                assert abs(m1 - adaptive(f, a, b, 0.37)) <= 1e-12
+                assert abs(m2 - adaptive(f2, a, b, 0.37)) <= 1e-12
 
 
 class TestGaussianStream:
