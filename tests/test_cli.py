@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import meanbreak
-from meanbreak import cli, core
+from meanbreak import cli, core, reader
 
 
 def run_cli(capsys, *argv):
@@ -138,7 +138,7 @@ class TestCmdTest:
         assert err.endswith(report)
 
     def test_rows_numbered_across_blocks(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(cli, "BLOCK_CHARS", 64)  # about ten lines a block
+        monkeypatch.setattr(reader, "BLOCK_CHARS", 64)  # about ten lines a block
         lines = ["value"] + [f"{k}.5" for k in range(300)]
         for k in (3, 77, 150):
             lines[k] = "   "
@@ -157,7 +157,7 @@ class TestCmdTest:
 
     @pytest.mark.parametrize("block_chars", [61, 64, 67])
     def test_rows_found_by_block(self, tmp_path, monkeypatch, block_chars):
-        monkeypatch.setattr(cli, "BLOCK_CHARS", block_chars)  # about five lines a block
+        monkeypatch.setattr(reader, "BLOCK_CHARS", block_chars)  # about five lines a block
         lines = ["date,price"] + [f"2020-{k:04d},{k + 1}.5" for k in range(120)]
         lines[7] = " "
         lines[40:40] = ["", "   ", "\t"] * 30  # more than a block of blank lines
@@ -176,7 +176,7 @@ class TestCmdTest:
             assert rows.date(index) == date
 
     def test_offending_level_across_blocks(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "BLOCK_CHARS", 64)
+        monkeypatch.setattr(reader, "BLOCK_CHARS", 64)
         lines = ["price"] + [f"{k + 1}.25" for k in range(200)]
         lines[30:30] = [""] * 70
         lines[183] = "-1.0"
@@ -229,12 +229,12 @@ class TestCmdTest:
                 return str(exc).removeprefix(f"{f}: ")
 
         assert read() == expected
-        monkeypatch.setattr(cli, "BLOCK_CHARS", 1)  # a block per line
+        monkeypatch.setattr(reader, "BLOCK_CHARS", 1)  # a block per line
         assert read() == expected
         # and cell by cell, as when another row of the block is bad
         bad = []
-        values = cli._check_cells(text.split("\n")[1:], 1, True, 1, bad, [])
-        got = values.tolist() if not bad else cli._rows_report("rows failed to parse", bad)
+        values = reader._check_cells(text.split("\n")[1:], 1, True, 1, bad, [])
+        got = values.tolist() if not bad else reader._rows_report("rows failed to parse", bad)
         assert got == expected
 
     @pytest.mark.parametrize("text, args, break_date", [
@@ -405,15 +405,15 @@ class TestRanges:
 
     @pytest.fixture(autouse=True)
     def small_ranges(self, monkeypatch):
-        monkeypatch.setattr(cli, "BLOCK_CHARS", 40)  # two or three lines a block
-        monkeypatch.setattr(cli, "_MIN_RANGE", 64)
-        split, self.spans = cli._ranges, []
+        monkeypatch.setattr(reader, "BLOCK_CHARS", 40)  # two or three lines a block
+        monkeypatch.setattr(reader, "_MIN_RANGE", 64)
+        split, self.spans = reader._ranges, []
 
         def ranges(*args):
             self.spans.append(split(*args))
             return self.spans[-1]
 
-        monkeypatch.setattr(cli, "_ranges", ranges)
+        monkeypatch.setattr(reader, "_ranges", ranges)
 
     def read(self, monkeypatch, path, cpus):
         """``load_column`` on ``cpus`` usable CPUs, and the ranges it read."""
@@ -495,11 +495,11 @@ class TestRanges:
             lambda f: b"".join(f.readlines()),
         ]
         for read in raw:
-            with cli._Range(str(path), start, end) as f:
+            with reader._Range(str(path), start, end) as f:
                 assert read(f) == data[start:end]
                 assert f.read() == b""
         for read in (lambda f: f.read(), lambda f: f.read(4096), lambda f: "".join(f)):
-            with cli._text(str(path), start, end) as f:
+            with reader._text(str(path), start, end) as f:
                 assert read(f) == data[start:end].decode()
                 assert f.read() == ""
 
