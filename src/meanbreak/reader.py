@@ -17,7 +17,7 @@ import numpy as np
 
 from meanbreak import usable_cpus
 
-BLOCK_CHARS = 1 << 20  # characters of a data file converted per bulk call
+BLOCK_CHARS = 1 << 20  # bytes of a data file converted per bulk call
 _MIN_RANGE = 4 * BLOCK_CHARS  # bytes of a data file per reader process, at least
 
 
@@ -72,7 +72,7 @@ def load_column(path: str, column: str, date_column: str | None = None):
     try:
         # Line ends as in the file (newline=""), so that the bytes before the
         # data are the encoded length of the lines read.
-        with _text(path, newline="") as fh:
+        with open(path, encoding="utf-8", newline="") as fh:
             first_line = start = 0
             for line in iter(fh.readline, ""):
                 first_line += 1
@@ -127,35 +127,6 @@ def _undecodable(path: str) -> str | None:
 def _line_ends(data: bytes) -> int:
     """Line ends in ``data``: "\n", "\r\n" and "\r" each count once."""
     return data.count(b"\n") + data.count(b"\r") - data.count(b"\r\n")
-
-
-class _Range(io.FileIO):
-    """Bytes ``start`` to ``end`` of a file (to its end if ``end`` is None).
-    Positions are file offsets, so a text stream's ``tell()`` in one range is
-    a valid ``seek()`` in a stream over any range that holds it."""
-
-    def __init__(self, path: str, start: int = 0, end: int | None = None):
-        super().__init__(path, "rb")
-        self._end = end
-        self.seek(start)
-
-    def readinto(self, buffer) -> int:
-        if self._end is not None:
-            buffer = memoryview(buffer)[:max(0, self._end - self.tell())]
-        return super().readinto(buffer)
-
-    # FileIO's own read and readall read to the end of the file; these go
-    # through readinto, and readall through read.
-    read = io.RawIOBase.read
-    readall = io.RawIOBase.readall
-
-
-def _text(path: str, start: int = 0, end: int | None = None, newline=None):
-    """A UTF-8 text stream over bytes ``start`` to ``end`` of ``path``; by
-    default "\r\n" and "\r" read as "\n", as in ``open``."""
-    return io.TextIOWrapper(
-        io.BufferedReader(_Range(path, start, end)), encoding="utf-8", newline=newline
-    )
 
 
 def _ranges(path: str, start: int) -> list[tuple[int, int]]:
@@ -241,9 +212,14 @@ def _read_values(path: str, start: int, end: int, comma: bool, col: int):
     conversion rejects but ``float`` reads ("1_000", a whitespace-only line
     in a comma file) are read in that check.
 
-    Returns the values; per block, its ``tell()`` position and the lines and
-    data rows of the range before it; the line numbers of bad and of
-    non-finite rows; and the number of lines, all counted in the range.
+    A block is ``BLOCK_CHARS`` bytes cut back to their last line end ("\r"
+    as the last byte may be the start of a "\r\n"), or a whole line where
+    that is longer.  No UTF-8 sequence holds a line-end byte, so each block
+    decodes on its own.
+
+    Returns the values; per block, its file offset and the lines and data
+    rows of the range before it; the line numbers of bad and of non-finite
+    rows; and the number of lines, all counted in the range.
     """
     options = dict(
         usecols=col, comments=None, ndmin=1,
@@ -251,16 +227,18 @@ def _read_values(path: str, start: int, end: int, comma: bool, col: int):
     )
     parts, blocks, bad, nonfinite = [], [], [], []
     number = rows = 0
-    with _text(path, start, end) as fh, warnings.catch_warnings():
+    with open(path, "rb") as fh, warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # a block of blank lines holds no data
-        while True:
-            # Not readlines: it would disable tell().  Text mode has already
-            # turned "\r\n" and "\r" into "\n", so these are its lines.
-            position = fh.tell()
-            text = fh.read(BLOCK_CHARS)
-            if not text:
-                break
-            text += fh.readline()
+        position = fh.seek(start)
+        while data := fh.read(min(BLOCK_CHARS, end - position)):
+            if position + len(data) < end:
+                cut = max(data.rfind(b"\n"), data.rfind(b"\r", 0, -1)) + 1
+                if cut:
+                    data = data[:cut]
+                    fh.seek(position + cut)
+                else:
+                    data += fh.readline(end - position - len(data))
+            text = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
             block = text.split("\n")
             if not block[-1]:  # the text ended with a newline
                 block.pop()
@@ -273,6 +251,7 @@ def _read_values(path: str, start: int, end: int, comma: bool, col: int):
                 values = _check_cells(block, number, comma, col, bad, nonfinite)
             blocks.append((position, number, rows))
             parts.append(values)
+            position += len(data)
             number += len(block)
             rows += len(values)
     return (np.concatenate(parts) if parts else np.empty(0)), blocks, bad, nonfinite, number
@@ -338,14 +317,14 @@ class DataRows:
     path: str
     comma: bool
     date_col: int | None
-    blocks: tuple  # (text tell() position, file lines before, data rows before)
+    blocks: tuple  # (file offset, file lines before, data rows before)
 
     def _locate(self, index: int) -> tuple[int, str]:
         """File line number and text of data row ``index`` (0-based)."""
         block = bisect.bisect_right(self.blocks, index, key=lambda b: b[2]) - 1
         position, before, rows_before = self.blocks[block]
         try:
-            with _text(self.path) as fh:
+            with open(self.path, encoding="utf-8") as fh:
                 fh.seek(position)
                 lines = enumerate(fh, before + 1)
                 rows = ((number, line) for number, line in lines if line.strip())

@@ -485,24 +485,6 @@ class TestRanges:
             f"{len(data)} (line 32): invalid start byte"
         )
 
-    def test_every_read_stops_at_end(self, tmp_path):
-        data = ("\n".join(price_rows(1000)) + "\n").encode()
-        path = tmp_path / "r.csv"
-        path.write_bytes(data)
-        start, end = 7, 100
-        raw = [
-            lambda f: f.read(), lambda f: f.readall(), lambda f: f.read(4096),
-            lambda f: b"".join(f.readlines()),
-        ]
-        for read in raw:
-            with reader._Range(str(path), start, end) as f:
-                assert read(f) == data[start:end]
-                assert f.read() == b""
-        for read in (lambda f: f.read(), lambda f: f.read(4096), lambda f: "".join(f)):
-            with reader._text(str(path), start, end) as f:
-                assert read(f) == data[start:end].decode()
-                assert f.read() == ""
-
     def test_daemon_reads_in_one_process(self, tmp_path, monkeypatch):
         # A daemonic pool worker may start no process of its own.
         path = tmp_path / "r.csv"
