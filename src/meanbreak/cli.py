@@ -31,6 +31,8 @@ def _format_p(p: float) -> str:
 
 
 def cmd_test(args) -> int:
+    if not 0.0 < args.alpha < 1.0:  # a usage error, found before the file is read
+        raise ValueError(f"alpha must lie in (0, 1), got {args.alpha}")
     values, rows = load_column(args.file, args.column, args.date_column)
     minimum = 3 if args.kind == "levels" else 2  # 3 prices give 2 returns
     if len(values) < minimum:

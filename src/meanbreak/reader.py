@@ -51,9 +51,17 @@ def _rows_report(what: str, rows: list[int]) -> str:
     return f"{what}: {shown}{more}"
 
 
-def _split(line: str, comma: bool) -> list[str]:
-    line = line.strip()
-    return next(csv.reader([line])) if comma else line.split()
+def _split(line: str, comma: bool) -> list[str] | None:
+    """The cells of a row, which is one line, split as the bulk conversion
+    splits them: only trailing blanks are stripped, so a quote after leading
+    blanks is an ordinary character.  None if a quote is still open at the
+    end of the line, which a csv reader shows by reading on into the empty
+    line after it."""
+    if not comma:
+        return line.split()
+    reader = csv.reader([line.rstrip(), ""])
+    cells = next(reader)
+    return cells if reader.line_num == 1 else None
 
 
 def load_column(path: str, column: str, date_column: str | None = None):
@@ -77,12 +85,16 @@ def load_column(path: str, column: str, date_column: str | None = None):
             for line in iter(fh.readline, ""):
                 first_line += 1
                 start += len(line.encode("utf-8"))
+                if first_line == 1:  # a byte-order mark is part of no cell
+                    line = line.removeprefix("\ufeff")
                 if line.strip():
                     break
             else:
                 raise DataError(f"{path} contains no data rows")
         comma = "," in line
         first = _split(line, comma)
+        if first is None:
+            raise DataError(f"{path}: " + _rows_report("rows failed to parse", [first_line]))
         header = first if any(not _is_float(cell) for cell in first) else []
         col = _column_index(column, header)
         date_col = None if date_column is None else _column_index(date_column, header)
@@ -238,7 +250,8 @@ def _read_values(path: str, start: int, end: int, comma: bool, col: int):
                     fh.seek(position + cut)
                 else:
                     data += fh.readline(end - position - len(data))
-            text = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+            text = data.decode("utf-8-sig" if position == 0 else "utf-8")
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
             block = text.split("\n")
             if not block[-1]:  # the text ended with a newline
                 block.pop()
@@ -263,47 +276,29 @@ def _rows_are_lines(lines, rows: int) -> bool:
     quote still open at the end of a line takes the next lines into its row,
     or, on the last line, runs to the end."""
     last = next((line for line in reversed(lines) if line), "")
-    reader = csv.reader([last, ""])
-    next(reader)
-    return rows == len(lines) - lines.count("") and reader.line_num == 1
+    return rows == len(lines) - lines.count("") and _split(last, comma=True) is not None
 
 
 def _check_cells(lines, after, comma, col, bad, nonfinite) -> np.ndarray:
     """Parse column ``col`` of ``lines``, which follow file line ``after``;
     append the file line numbers of bad and non-finite cells to those lists.
 
-    A row is one line: a quote still open at the end of a line makes that
-    line bad, and reading starts again on the next line.  A csv reader shows
-    it by a ``line_num`` past the row's line; the blank line appended shows
-    it on the last line.  Only trailing whitespace is stripped, so a quote
-    after leading blanks is a character, as in the bulk conversion.
+    A line with a quote still open at its end is bad (see :func:`_split`).
     """
-    lines = [line.rstrip() for line in lines] + [""]
     values = []
-    start = 0
-    while start < len(lines):
-        # Not islice: it would step over the ``start`` lines at every restart.
-        source = map(lines.__getitem__, range(start, len(lines)))
-        rows = csv.reader(source) if comma else (line.split() for line in source)
-        for index, cells in enumerate(rows, start):
-            number = after + 1 + index
-            if comma and start + rows.line_num > index + 1:
-                bad.append(number)
-                start = index + 1
-                break
-            if not cells:
-                continue
-            try:
-                value = float(cells[col])
-            except (IndexError, ValueError):
-                bad.append(number)
-                continue
-            if math.isfinite(value):
-                values.append(value)
-            else:
-                nonfinite.append(number)
+    for number, line in enumerate(lines, after + 1):
+        cells = _split(line, comma)
+        if cells == []:  # a blank line
+            continue
+        try:
+            value = float(cells[col])  # TypeError: a quote left open
+        except (TypeError, IndexError, ValueError):
+            bad.append(number)
+            continue
+        if math.isfinite(value):
+            values.append(value)
         else:
-            break
+            nonfinite.append(number)
     return np.array(values)
 
 
@@ -324,7 +319,7 @@ class DataRows:
         block = bisect.bisect_right(self.blocks, index, key=lambda b: b[2]) - 1
         position, before, rows_before = self.blocks[block]
         try:
-            with open(self.path, encoding="utf-8") as fh:
+            with open(self.path, encoding="utf-8-sig") as fh:
                 fh.seek(position)
                 lines = enumerate(fh, before + 1)
                 rows = ((number, line) for number, line in lines if line.strip())

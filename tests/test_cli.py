@@ -104,6 +104,15 @@ class TestCmdTest:
         assert code == 3
         assert "cannot read" in err
 
+    @pytest.mark.parametrize("alpha", ["2", "0", "nan"])
+    def test_alpha_checked_before_the_file_is_read(self, tmp_path, capsys, alpha):
+        f = tmp_path / "r.txt"
+        f.write_text("1\nnot-a-number\n3\n")
+        for path in (f, tmp_path / "missing.txt"):
+            code, out, err = run_cli(capsys, "test", str(path), "--alpha", alpha)
+            assert (code, out) == (2, "")
+            assert err == f"usage error: alpha must lie in (0, 1), got {float(alpha)}\n"
+
     def test_bad_rows_reported_with_numbers(self, tmp_path, capsys):
         f = tmp_path / "r.txt"
         f.write_text("1\nnot-a-number\n3\n")

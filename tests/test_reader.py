@@ -4,14 +4,16 @@ a line-by-line reference reader of the README's rules reads them (McKeeman
 1998; Claessen & Hughes 2000)."""
 
 import csv
+import json
 import math
 import os
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from meanbreak import cli, reader
+from meanbreak import cli, core, reader
 
 
 def reference(path: str, data: bytes, column: str, date_column: str | None):
@@ -24,7 +26,7 @@ def reference(path: str, data: bytes, column: str, date_column: str | None):
         line = 1 + before.count(b"\n") + before.count(b"\r") - before.count(b"\r\n")
         return (f"cannot read {path}: 'utf-8' codec can't decode byte {data[exc.start]:#04x} "
                 f"at file offset {exc.start} (line {line}): {exc.reason}")
-    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    lines = text.removeprefix("\ufeff").replace("\r\n", "\n").replace("\r", "\n").split("\n")
     rows = [(number, line) for number, line in enumerate(lines, 1) if line.strip()]
     if not rows:
         return f"{path} contains no data rows"
@@ -38,6 +40,8 @@ def reference(path: str, data: bytes, column: str, date_column: str | None):
         next(read)
         return comma and read.line_num > 1
 
+    if quote_open(rows[0][1]):  # nor can it fix the columns
+        return f"{path}: rows failed to parse: {rows[0][0]}"
     first = cells(rows[0][1])
     header = first if any(not is_float(cell) for cell in first) else []
     for selector in filter(None, (column, date_column)):
@@ -97,11 +101,13 @@ QUOTED = st.sampled_from(['"Jan 2, 2020"', '"a""b"', '"a"b', '  "a,b"', '"7"'])
 def data_files(draw):
     """A small data file's bytes and the ``--column`` and ``--date-column``
     to read it with.  Half the files hold bad rows: bad or missing values,
-    quotes left open, and one stray byte that is not UTF-8."""
+    quotes left open, and one stray byte that is not UTF-8 in a fifth of
+    them."""
     comma, dirty = draw(st.booleans()), draw(st.booleans())
     sep = "," if comma else draw(st.sampled_from([" ", "\t", "  "]))
     header = draw(st.booleans())
-    lines = [sep.join([draw(st.sampled_from(["date", "Jä€", '"date"'])), "y"])] if header else []
+    names = st.sampled_from(["date", "Jä€", '"date"', ' "a,b"'])
+    lines = [sep.join([draw(names), "y"])] if header else []
     kinds = ["row"] * 6 + ["blank", "quoted"] + ["bad", "short", "open"] * dirty
     for kind in draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=14)):
         if kind == "blank":
@@ -122,7 +128,7 @@ def data_files(draw):
     )
     if draw(st.booleans()):
         text = text.rstrip("\r\n")  # no final line end
-    data = text.encode()
+    data = b"\xef\xbb\xbf" * draw(st.booleans()) + text.encode()  # a byte-order mark or none
     if dirty and draw(st.integers(0, 4)) == 0:
         at = draw(st.integers(0, len(data)))
         data = data[:at] + b"\xff" + data[at:]
@@ -154,3 +160,45 @@ def test_reads_as_reference(tmp_path, monkeypatch, capsys, block_chars, cpus, ca
         return
     got = [(v.hex(), rows.line(i), rows.date(i)) for i, v in enumerate(values.tolist())]
     assert got == expected
+
+
+def run_test(capsys, path, *args):
+    code = cli.main(["test", str(path), "--format", "json", *args])
+    out, err = capsys.readouterr()
+    return code, json.loads(out) if out else err
+
+
+@pytest.mark.parametrize("data, args", [
+    # headerless: the first row is data, not a header
+    (b"\xef\xbb\xbf1.0\n2.0\n1.5\n3.0\n2.5\n", ()),
+    ("\ufeffdate,price\nd1,1.0\nd2,2.0\nd3,1.5\nd4,3.0\nd5,2.5\n".encode(),
+     ("--column", "price", "--date-column", "date")),
+])
+def test_byte_order_mark_is_part_of_no_cell(tmp_path, capsys, data, args):
+    path = tmp_path / "r.csv"
+    path.write_bytes(data)
+    code, doc = run_test(capsys, path, *args)
+    assert code == 0
+    assert doc["n"] == 5
+    assert doc["statistic"] == core.lm_test(np.array([1.0, 2.0, 1.5, 3.0, 2.5])).statistic
+
+
+def test_header_splits_as_a_data_row(tmp_path, capsys):
+    # Only trailing blanks are stripped: after leading blanks a quote is an
+    # ordinary character, in the header as in the rows, so both have 3 cells.
+    path = tmp_path / "r.csv"
+    path.write_text('  "a,b",price  \nd,e,1\n  "a,b",1\nd,e,3\n')
+    code, doc = run_test(capsys, path, "--column", "price", "--date-column", "1")
+    assert code == 0
+    assert (doc["n"], doc["break_date"]) == (3, 'b"')
+    assert reader.load_column(str(path), "2")[0].tolist() == [1.0, 1.0, 3.0]
+
+
+@pytest.mark.parametrize("text", ['"date,y\nd1,1\nd2,2\n', '"1,2\n3,4\n5,6\n'])
+def test_quote_open_in_first_row(tmp_path, text):
+    # The first row fixes the delimiter, the header and the columns; a quote
+    # left open on it is a parse error at its line, as on any other row.
+    path = tmp_path / "r.csv"
+    path.write_text("\n" + text)
+    with pytest.raises(reader.DataError, match=r"r\.csv: rows failed to parse: 2$"):
+        reader.load_column(str(path), "1")
