@@ -138,6 +138,8 @@ class TestCmdTest:
         # a nonpositive level is named by its file line, header and blank lines counted
         ("price\n\n5\n-1\n5\n", ("--kind", "levels", "--column", "price"),
          "levels must be strictly positive for the log-return step (offending row 4)\n"),
+        # the first row fixes the header and the columns, so it must close its quotes too
+        ('\n"date,y\nd1,1\nd2,2\n', ("--column", "y"), "rows failed to parse: 2\n"),
     ])
     def test_bad_row_reports(self, tmp_path, capsys, text, args, report):
         f = tmp_path / "r.txt"
@@ -257,10 +259,17 @@ class TestCmdTest:
          ("--column", "1", "--date-column", "0"), "2020-01-02"),
         ("\n1\n\n  \n1\n3\n", (), None),
         ("1\n1.0_0\n3\n", (), None),  # float() reads "1.0_0"
+        # a byte-order mark is part of no cell: neither a header nor a name
+        ("\ufeff1\n1\n3\n", (), None),
+        ("\ufeffdate,price\nd1,1\nd2,1\nd3,3\n", ("--column", "price", "--date-column", "date"),
+         "d2"),
+        # only trailing blanks are stripped: header and rows both have 3 cells
+        ('  "a,b",price  \nd,e,1\n  "a,b",1\nd,e,3\n', ("--column", "price", "--date-column", "1"),
+         'b"'),
     ])
     def test_file_layouts(self, tmp_path, capsys, text, args, break_date):
         f = tmp_path / "r.txt"
-        f.write_text(text)
+        f.write_bytes(text.encode())
         code, out, _ = run_cli(capsys, "test", str(f), "--format", "json", *args)
         assert code == 0
         doc = json.loads(out)
