@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import nullcontext
 
 import numpy as np
 
@@ -171,13 +172,12 @@ def cmd_simulate(args) -> int:
     from meanbreak import montecarlo
 
     config = _config_from_args(args)
-    table = montecarlo.run_experiment(config)
-    document = montecarlo.emit_table(table, format=args.format)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(document)
-    else:
-        sys.stdout.write(document)
+    try:  # opened before the simulation runs, so a bad path costs none of it
+        out = open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout)
+    except OSError as exc:
+        raise DataError(f"cannot write {args.out}: {exc}") from exc
+    with out as fh:
+        fh.write(montecarlo.emit_table(montecarlo.run_experiment(config), format=args.format))
     if args.diagnostics:
         _print_diagnostics(config)
     return EXIT_OK

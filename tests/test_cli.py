@@ -1,11 +1,12 @@
 """End-to-end tests of the command-line interface (run in-process)."""
 
-import concurrent.futures
 import json
 import multiprocessing
 import os
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -503,14 +504,84 @@ class TestRanges:
             f"{len(data)} (line 32): invalid start byte"
         )
 
+    @pytest.mark.parametrize("case", ["clean", "malformed", "undecodable in range 0"])
+    def test_no_reader_outlives_a_read(self, tmp_path, monkeypatch, case):
+        rows = ["date,y", *price_rows(1000)]
+        if case == "malformed":
+            rows[-1] = "2020-0999,x"
+        data = ("\n".join(rows) + "\n").encode()
+        offset = 9000  # past the first 8 KiB, which the header read decodes
+        if case.startswith("undecodable"):
+            data = data[:offset] + b"\xff" + data[offset:]
+        path = tmp_path / "r.csv"
+        path.write_bytes(data)
+        got, spans = self.read(monkeypatch, path, 3)
+        assert len(spans) == 3
+        if case == "clean":
+            assert len(got[0]) == 1000
+        elif case == "malformed":
+            assert got == f"{path}: rows failed to parse: 1001"
+        else:
+            assert spans[0][0] < offset < spans[0][1]
+            line = data.count(b"\n", 0, offset) + 1
+            assert f"byte 0xff at file offset {offset} (line {line})" in got
+        assert_no_children()
+
+    @pytest.mark.parametrize("end, status", [
+        (lambda: os._exit(7), 7),
+        (lambda: os.kill(os.getpid(), signal.SIGKILL), -signal.SIGKILL),
+    ])
+    def test_reader_that_sends_nothing(self, tmp_path, monkeypatch, end, status):
+        # Never partial data: the read fails, naming the range and the status.
+        path = tmp_path / "r.csv"
+        path.write_text("\n".join(["date,y", *price_rows(150)]) + "\n")
+        parent, read = os.getpid(), reader._read_values
+
+        def ended(*args):
+            if os.getpid() != parent:
+                end()
+            return read(*args)
+
+        monkeypatch.setattr(reader, "_read_values", ended)
+        got, spans = self.read(monkeypatch, path, 3)
+        start, stop = spans[1]
+        assert got == (f"cannot read {path}: the reader of bytes {start}-{stop} ended "
+                       f"with exit status {status} and sent no result")
+        assert_no_children()
+
+    def test_interrupt_kills_every_reader(self, tmp_path, monkeypatch):
+        path = tmp_path / "r.csv"
+        path.write_text("\n".join(["date,y", *price_rows(150)]) + "\n")
+        parent = os.getpid()
+
+        def interrupted(*args):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            time.sleep(60)  # a reader that would outlive the read unless killed
+
+        monkeypatch.setattr(reader, "_read_values", interrupted)
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            self.read(monkeypatch, path, 3)
+        assert time.monotonic() - start < 30  # killed, not waited for
+        assert len(self.spans[-1]) == 3
+        assert_no_children()
+
     def test_daemon_reads_in_one_process(self, tmp_path, monkeypatch):
-        # A daemonic pool worker may start no process of its own.
+        # A daemonic pool worker forks its readers as any process does (a
+        # pool's own workers could not): the bits of a ranged read in one.
         path = tmp_path / "r.csv"
         path.write_text("\n".join(["date,y", *price_rows(150)]) + "\n")
         expected, _ = self.read(monkeypatch, path, 1)
         assert len(self.read(monkeypatch, path, 3)[1]) == 3
         with multiprocessing.get_context("fork").Pool(1) as pool:
             assert pool.apply(column_bits, (path,)) == expected[0]
+
+
+def assert_no_children():
+    """This process has no child left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 class TestCmdSimulate:
@@ -535,6 +606,22 @@ class TestCmdSimulate:
         assert code == 0
         assert out == ""
         assert target.read_text().startswith("series,n,alpha")
+
+    def test_unwritable_out_is_data_error(self, tmp_path, capsys, monkeypatch):
+        from meanbreak import montecarlo
+
+        def run_experiment(config):
+            raise AssertionError("the simulation ran")
+
+        monkeypatch.setattr(montecarlo, "run_experiment", run_experiment)
+        target = tmp_path / "no such dir" / "table.csv"
+        code, out, err = run_cli(
+            capsys, "simulate", "--series", "1", "--n", "50", "--reps", "10",
+            "--out", str(target),
+        )
+        assert (code, out) == (3, "")
+        assert err == (f"error: cannot write {target}: [Errno 2] No such file or "
+                       f"directory: {str(target)!r}\n")
 
     def test_no_series_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "simulate", "--reps", "5")
@@ -766,8 +853,8 @@ class TestImports:
         assert run_child(code).splitlines() == [expected, "0 3"]
 
     def test_small_file_starts_no_pool(self, tmp_path, monkeypatch, capsys):
-        # The reader's process pool is for large files; small ones pay neither
-        # its import nor a process.
+        # The reader's forked processes are for large files; a small one is
+        # read in this process.
         f = tmp_path / "r.csv"
         f.write_text("date,y\nd1,1\nd2,2\nd3,5\n")
         code = (
@@ -782,9 +869,25 @@ class TestImports:
             def __init__(self, *args, **kwargs):
                 raise AssertionError("a reader process started")
 
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoPool)
+        monkeypatch.setattr(os, "fork", NoPool)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
         assert run_cli(capsys, "test", str(f), "--column", "y")[0] == 0
+
+    def test_ranged_read_loads_no_pool_modules(self, tmp_path):
+        # Readers are plain forks: `test` loads no pool module at any size.
+        f = tmp_path / "r.csv"
+        f.write_text("\n".join(["date,y", *price_rows(150)]) + "\n")
+        code = (
+            "import os, sys; from meanbreak import reader; from meanbreak.cli import main\n"
+            "reader._MIN_RANGE = 64\n"
+            "os.sched_getaffinity = lambda pid: set(range(3))\n"
+            "split, spans = reader._ranges, []\n"
+            "reader._ranges = lambda *args: spans.append(split(*args)) or spans[-1]\n"
+            f"code = main(['test', {str(f)!r}, '--column', 'y'])\n"
+            "print(code, len(spans[-1]), sorted(m for m in sys.modules"
+            " if m.split('.')[0] in ('multiprocessing', 'concurrent')))\n"
+        )
+        assert run_child(code).splitlines()[-1] == "0 3 []"
 
     def test_lazy_package_names(self):
         from meanbreak import MeanSpec, SigmaSpec, montecarlo, run_experiment, signals

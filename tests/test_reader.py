@@ -8,7 +8,7 @@ import math
 import os
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from meanbreak import cli, reader
@@ -159,3 +159,23 @@ def test_reads_as_reference(tmp_path, monkeypatch, capsys, block_chars, cpus, ca
     got = [(v.hex(), rows.line(i), rows.date(i)) for i, v in enumerate(values.tolist())]
     assert got == expected
 
+
+
+BLANKS = st.text(" \t", max_size=3)
+CELLS = st.one_of(
+    st.sampled_from(["", " ", "\t", "1.5", " 2 ", "\x00", "a\x00b", "Jä€😀"]),
+    st.text(st.characters(exclude_characters='",\r\n'), max_size=5),
+)
+
+
+@settings(max_examples=500)
+@given(line=st.tuples(BLANKS, st.lists(CELLS, max_size=5).map(",".join), BLANKS).map("".join))
+@example(line="")
+@example(line=" \t ")
+@example(line="\t a , b\t ")
+@example(line=",,")
+@example(line="\x00,1")
+@example(line="Jä€😀,1.5 ")
+def test_split_without_quotes_as_csv(line):
+    # A line holds no line end: the reader splits its text on them first.
+    assert reader._split(line, comma=True) == next(csv.reader([line.rstrip(), ""]))
