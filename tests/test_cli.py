@@ -568,8 +568,9 @@ class TestRanges:
         assert_no_children()
 
     def test_daemon_reads_in_one_process(self, tmp_path, monkeypatch):
-        # A daemonic pool worker forks its readers as any process does (a
-        # pool's own workers could not): the bits of a ranged read in one.
+        # A daemonic pool worker, which may start no pool process, forks its
+        # range readers like any process. Forked with this process's patches,
+        # it reads the file in 3 ranges, whose bits must be those of one.
         path = tmp_path / "r.csv"
         path.write_text("\n".join(["date,y", *price_rows(150)]) + "\n")
         expected, _ = self.read(monkeypatch, path, 1)

@@ -160,7 +160,6 @@ def test_reads_as_reference(tmp_path, monkeypatch, capsys, block_chars, cpus, ca
     assert got == expected
 
 
-
 BLANKS = st.text(" \t", max_size=3)
 CELLS = st.one_of(
     st.sampled_from(["", " ", "\t", "1.5", " 2 ", "\x00", "a\x00b", "Jä€😀"]),
