@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from contextlib import nullcontext
 
@@ -69,7 +70,7 @@ def cmd_test(args) -> int:
         doc = {
             "n": len(series),
             "mu_hat": outcome.mu_hat,
-            "sigma2_hat": outcome.sigma2_hat,
+            "sigma2_hat": outcome.sigma2_hat if math.isfinite(outcome.sigma2_hat) else None,
             "statistic": outcome.statistic,
             "p_value": 0.0 if underflow else outcome.p_value,
             "underflow": underflow,
@@ -78,7 +79,7 @@ def cmd_test(args) -> int:
             "alpha": outcome.alpha,
             "reject": outcome.reject,
         }
-        print(json.dumps(doc, indent=2, sort_keys=True))
+        print(json.dumps(doc, indent=2, sort_keys=True, allow_nan=False))
     else:
         decision = "reject" if outcome.reject else "fail to reject"
         where = f"{outcome.break_index}"

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -97,18 +96,6 @@ def absolute_transform(series) -> np.ndarray:
     return np.abs(as_series(series))
 
 
-class _CusumRows(NamedTuple):
-    """Row-wise results of :func:`_cusum_rows`, one entry per row."""
-
-    statistic: np.ndarray  # sup |B(k/n)|; nan on degenerate rows
-    break_index: np.ndarray  # first k attaining the sup; 0 on degenerate rows
-    mu_hat: np.ndarray
-    sigma2_hat: np.ndarray  # divisor n; inf where it exceeds the float range
-    sigma_hat: np.ndarray
-    degenerate: np.ndarray  # constant row: the statistic is undefined
-    points: np.ndarray  # (rows, n + 1) normalized CUSUM paths
-
-
 def _centred_rows(y: np.ndarray, out: np.ndarray | None = None):
     """Check, scale and centre each row of a (rows x n) float64 array.
 
@@ -134,52 +121,55 @@ def _centred_rows(y: np.ndarray, out: np.ndarray | None = None):
     return d, mu, exponent, degenerate
 
 
-def _cusum_rows(y: np.ndarray) -> _CusumRows:
-    """Normalized CUSUM statistics of each row of a (rows x n) float64 array.
+def _cusum(series):
+    """Normalized CUSUM statistic of one series of at least two observations.
 
-    The array is checked for non-finite values once and each row is scaled
-    and centred once (:func:`_centred_rows`); the estimates are scaled back
-    at the end.
+    The series is checked for non-finite values, scaled and centred once
+    (:func:`_centred_rows`); the estimates are scaled back at the end.
+    Returns the statistic sup |B(k/n)|, the first k attaining it, mu_hat,
+    sigma2_hat (divisor n; inf where it exceeds the float range), sigma_hat
+    and the path.  A constant series gives its value, zero variances and
+    None for the statistic, the index and the path.
     """
+    y = as_series(series, min_length=2)[None, :]
     n = y.shape[1]
     d, mu, exponent, degenerate = _centred_rows(y)
+    mu_hat = float(np.ldexp(mu, exponent)[0])
+    if degenerate[0]:
+        return None, None, mu_hat, 0.0, 0.0, None
     sigma2 = np.vecdot(d, d) / n
     sigma = np.sqrt(sigma2)
     # Partial sums of centered values, then the exact-cancellation form
     # S_k - (k/n) S_n: the endpoint is zero by construction, not by luck.
-    s = np.empty((y.shape[0], n + 1))
-    s[:, 0] = 0.0
-    np.cumsum(d, axis=1, out=s[:, 1:])
+    s = np.empty(n + 1)
+    s[0] = 0.0
+    np.cumsum(d[0], out=s[1:])
     del d  # freed before the path is allocated: it lowers the peak memory
-    scale = np.where(degenerate, 1.0, math.sqrt(n) * sigma)
-    points = (np.arange(n + 1) / n) * s[:, n:]
+    points = (np.arange(n + 1) / n) * s[n]
     np.subtract(s, points, out=points)
-    points /= scale[:, None]
-    points[:, 0] = 0.0
-    points[:, n] = 0.0
+    points /= math.sqrt(n) * sigma[0]
     abs_points = np.abs(points, out=s)
-    statistic = abs_points.max(axis=1)
-    statistic[degenerate] = np.nan
-    break_index = abs_points.argmax(axis=1)  # first occurrence
-    break_index[degenerate] = 0
+    k = int(abs_points.argmax())  # first occurrence
     with np.errstate(over="ignore"):
-        sigma2_hat = np.ldexp(sigma2, 2 * exponent)
-    return _CusumRows(
-        statistic=statistic,
-        break_index=break_index,
-        mu_hat=np.ldexp(mu, exponent),
-        sigma2_hat=sigma2_hat,
-        sigma_hat=np.ldexp(sigma, exponent),
-        degenerate=degenerate,
-        points=points,
-    )
+        sigma2_hat = float(np.ldexp(sigma2, 2 * exponent)[0])
+    return (float(abs_points[k]), k, mu_hat, sigma2_hat,
+            float(np.ldexp(sigma, exponent)[0]), points)
 
 
-def _cusum_sup(y: np.ndarray, grid: np.ndarray | None = None) -> np.ndarray:
-    """``_cusum_rows(y).statistic`` to within a few ulps, nan on constant
-    rows, computed in ``y``, which it overwrites.  ``grid`` is k/n for
-    k = 1..n, built here when not given; a caller with many blocks of one
-    n builds it once.
+def _nonconstant(cusum: tuple) -> tuple:
+    """``cusum``, the result of :func:`_cusum`, unless its series is constant."""
+    if cusum[-1] is None:
+        raise DegenerateSeriesError(
+            "series is constant (zero variance); the test statistic is undefined"
+        )
+    return cusum
+
+
+def _cusum_sup(y: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """The :func:`_cusum` statistic of each row of a (rows x n) float64
+    array to within a few ulps, nan on constant rows, computed in ``y``,
+    which it overwrites.  ``grid`` is k/n for k = 1..n; a caller with many
+    blocks of one n builds it once.
 
     The Monte Carlo engine owns its blocks and needs only the statistic, so
     this skips the path array, the break index and the estimates.  The sum
@@ -187,7 +177,7 @@ def _cusum_sup(y: np.ndarray, grid: np.ndarray | None = None) -> np.ndarray:
     ``ddot``, which above about 10,000 values wakes OpenBLAS helper threads
     that keep spinning after the call, oversubscribing the process pool,
     and whose bits depend on the thread count.  The two reductions differ by
-    a few ulps, and so do the two statistics.  ``_cusum_rows`` keeps vecdot
+    a few ulps, and so do the two statistics.  ``_cusum`` keeps vecdot
     because the ``cli_test`` benchmark golden pins its bits; a change that
     regenerates that golden can move it to this reduction and end the split.
     """
@@ -196,26 +186,12 @@ def _cusum_sup(y: np.ndarray, grid: np.ndarray | None = None) -> np.ndarray:
     scratch = np.square(d)
     sigma = np.sqrt(scratch.sum(axis=1) / n)
     np.cumsum(d, axis=1, out=d)
-    if grid is None:
-        grid = np.arange(1, n + 1) / n
     d -= np.multiply(grid, d[:, -1:], out=scratch)
     # Division by a positive number is monotone under rounding, so scaling
     # the largest |S_k - (k/n) S_n| gives the largest scaled value exactly.
     largest = np.maximum(d.max(axis=1), -d.min(axis=1))
     with np.errstate(invalid="ignore"):  # a constant row is all zeros: 0 / 0
         return largest / (math.sqrt(n) * sigma)
-
-
-def _cusum_row(series) -> _CusumRows:
-    """:func:`_cusum_rows` of one series of at least two observations."""
-    return _cusum_rows(as_series(series, min_length=2)[None, :])
-
-
-def _require_variance(rows: _CusumRows) -> None:
-    if rows.degenerate[0]:
-        raise DegenerateSeriesError(
-            "series is constant (zero variance); the test statistic is undefined"
-        )
 
 
 def null_estimates(series) -> NullEstimates:
@@ -225,17 +201,14 @@ def null_estimates(series) -> NullEstimates:
     about 1e154) and underflows to 0 for spreads below about 1e-162; the
     mean, the CUSUM path and the test stay defined at any scale.
     """
-    rows = _cusum_row(series)
-    return NullEstimates(
-        mu_hat=float(rows.mu_hat[0]), sigma2_hat=float(rows.sigma2_hat[0])
-    )
+    mu_hat, sigma2_hat = _cusum(series)[2:4]
+    return NullEstimates(mu_hat=mu_hat, sigma2_hat=sigma2_hat)
 
 
 def cusum_path(series) -> CusumPath:
     """Normalized CUSUM path B(k/n) = sum_{t<=k}(y_t - mean) / (sqrt(n) * sd)."""
-    rows = _cusum_row(series)
-    _require_variance(rows)
-    return CusumPath(points=rows.points[0], scale=float(rows.sigma_hat[0]))
+    sigma_hat, points = _nonconstant(_cusum(series))[4:]
+    return CusumPath(points=points, scale=sigma_hat)
 
 
 def lm_test(series, alpha: float = 0.05) -> TestOutcome:
@@ -249,16 +222,14 @@ def lm_test(series, alpha: float = 0.05) -> TestOutcome:
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    rows = _cusum_row(series)
-    _require_variance(rows)
-    statistic = float(rows.statistic[0])
+    statistic, break_index, mu_hat, sigma2_hat = _nonconstant(_cusum(series))[:4]
     p = dist.p_value(statistic)
     return TestOutcome(
         statistic=statistic,
         p_value=p,
-        break_index=int(rows.break_index[0]),
+        break_index=break_index,
         reject=p < alpha,
         alpha=alpha,
-        mu_hat=float(rows.mu_hat[0]),
-        sigma2_hat=float(rows.sigma2_hat[0]),
+        mu_hat=mu_hat,
+        sigma2_hat=sigma2_hat,
     )

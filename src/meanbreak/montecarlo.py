@@ -303,7 +303,7 @@ def _emit_json(table: RejectionTable) -> str:
         "cells": cells,
         "degenerate": degenerate,
     }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _emit_text(table: RejectionTable) -> str:

@@ -59,12 +59,15 @@ def _split(line: str, comma: bool) -> list[str] | None:
     splits them: only trailing blanks are stripped, so a quote after leading
     blanks is an ordinary character.  None if a quote is still open at the
     end of the line, which a csv reader shows by reading on into the empty
-    line after it."""
+    line after it.  A quoted cell may be as long as its line, as in the bulk
+    conversion, whatever csv's field size limit was."""
     if not comma:
         return line.split()
     if '"' not in line:  # what a csv reader returns, at a fraction of its cost
         line = line.rstrip()
         return line.split(",") if line else []
+    if len(line) > csv.field_size_limit():  # a process-wide limit: only ever raised
+        csv.field_size_limit(len(line))
     reader = csv.reader([line.rstrip(), ""])
     cells = next(reader)
     return cells if reader.line_num == 1 else None

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface (run in-process)."""
 
+import csv
 import json
 import multiprocessing
 import os
@@ -368,6 +369,24 @@ class TestCmdTest:
         assert doc["underflow"] is True
         assert doc["p_value"] == 0.0
 
+    def test_variance_past_float_range_is_null_in_json(self, tmp_path, capsys):
+        # sigma2_hat overflows to inf, which strict JSON cannot hold.
+        y = np.array([1e200, -1e200, 3e200, -2e200, 5e200])
+        f = tmp_path / "huge.txt"
+        f.write_text("\n".join(f"{v!r}" for v in y.tolist()) + "\n")
+
+        def reject(name):
+            raise ValueError(f"not JSON: {name}")
+
+        code, out, _ = run_cli(capsys, "test", str(f), "--format", "json")
+        assert code == 0
+        doc = json.loads(out, parse_constant=reject)
+        assert doc["sigma2_hat"] is None
+        assert doc["statistic"] == core.lm_test(y).statistic
+        code, out, _ = run_cli(capsys, "test", str(f))
+        assert code == 0
+        assert "variance:    inf\n" in out
+
 
 def price_rows(n: int, date=lambda k: f"2020-{k:04d}") -> list[str]:
     values = np.random.default_rng(5).standard_normal(n).tolist()
@@ -410,6 +429,70 @@ RANGE_FILES = {
     "headerless": ("\n".join(row.replace(",", " ") for row in price_rows(150, str)) + "\n",
                    None, None),
 }
+
+
+LONG = "D" * 140_000  # longer than csv's default field size limit, 131,072
+
+
+def step_rows(date=lambda k: f"d{k}") -> list[str]:
+    """100 rows whose values step from 0 to 1 after data row 49 (0-based)."""
+    return [f"{date(k)},{0 if k < 50 else 1}" for k in range(100)]
+
+
+class TestLongQuotedCells:
+    """A quoted cell longer than csv's default field size limit reads as the
+    bulk conversion reads it: in a header, in a block checked cell by cell,
+    and as the date of the break, on one CPU and in three ranges."""
+
+    STATISTIC = core.lm_test(np.repeat([0.0, 1.0], 50)).statistic
+
+    @pytest.fixture(params=[1, 3])
+    def cpus(self, request, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(request.param)),
+                            raising=False)
+        monkeypatch.setattr(reader, "_MIN_RANGE", 64)
+        monkeypatch.setattr(reader, "BLOCK_CHARS", 4096)
+        split, self.spans = reader._ranges, []
+
+        def ranges(*args):
+            self.spans.append(split(*args))
+            return self.spans[-1]
+
+        monkeypatch.setattr(reader, "_ranges", ranges)
+        # The limit is process-wide: each test starts from csv's default.
+        limit = csv.field_size_limit(131_072)
+        yield request.param
+        csv.field_size_limit(limit)
+
+    def run(self, capsys, tmp_path, lines):
+        f = tmp_path / "r.csv"
+        f.write_text("\n".join(lines) + "\n")
+        return run_cli(capsys, "test", str(f), "--column", "y", "--date-column", "0",
+                       "--format", "json")
+
+    def test_header(self, tmp_path, capsys, cpus):
+        code, out, _ = self.run(capsys, tmp_path, [f'"{LONG}",y', *step_rows()])
+        assert code == 0
+        doc = json.loads(out)
+        assert (doc["statistic"], doc["break_date"]) == (self.STATISTIC, "d49")
+        assert len(self.spans[-1]) == cpus
+
+    def test_block_checked_cell_by_cell(self, tmp_path, capsys, cpus):
+        rows = step_rows()
+        rows[10] = f'"{LONG}",x'
+        rows[20] = f'"{LONG}",0'
+        code, out, err = self.run(capsys, tmp_path, ["date,y", *rows])
+        assert (code, out) == (3, "")
+        assert err.endswith(": rows failed to parse: 12\n")
+        assert len(self.spans[-1]) == cpus
+
+    def test_break_date(self, tmp_path, capsys, cpus):
+        rows = step_rows(lambda k: f'"{LONG}"' if k == 49 else f"d{k}")
+        code, out, _ = self.run(capsys, tmp_path, ["date,y", *rows])
+        assert code == 0
+        doc = json.loads(out)
+        assert (doc["statistic"], doc["break_date"]) == (self.STATISTIC, LONG)
+        assert len(self.spans[-1]) == cpus
 
 
 def column_bits(path) -> list[str]:

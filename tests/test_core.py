@@ -1,5 +1,6 @@
 """Tests for data transforms, null estimates, the CUSUM path, and the test."""
 
+import hashlib
 import math
 import os
 import subprocess
@@ -15,9 +16,10 @@ import meanbreak
 from meanbreak import dist
 from meanbreak.core import (
     DegenerateSeriesError,
-    _cusum_rows,
+    _cusum,
     _cusum_sup,
     InsufficientDataError,
+    NullEstimates,
     absolute_transform,
     compute_returns,
     cusum_path,
@@ -172,6 +174,49 @@ class TestLmTest:
         assert 1 <= out.break_index <= 499
 
 
+# Statistic, p-value, break index, mu_hat, sigma2_hat, path scale and a
+# hash of the path's bytes, of the seeded series of ``recorded_series``.  At
+# these sizes the sum of squares runs BLAS ddot on one thread whatever the
+# thread count, so the bits hold on any.
+RECORDED_BITS = {
+    2: ("0x1.6a09e667f3bccp-1", "0x1.66146001de290p-1", 1,
+        "0x1.c5273713f08f4p+1", "0x1.f9393265bb8fep-4",
+        "0x1.67a282ef83044p-2", "741279f78dcc638a"),
+    3: ("0x1.f988a23c4dd61p-2", "0x1.ef88d3802460dp-1", 1,
+        "0x1.de692cac62acbp+1", "0x1.295f3d06f5213p+1",
+        "0x1.8632afec8b79ap+0", "32744c520d1af7c1"),
+    30: ("0x1.0a46536f57573p+0", "0x1.d5e2202fe58c8p-3", 21,
+        "0x1.aab09bd248096p+1", "0x1.a150f25a5aad0p-1",
+        "0x1.ce3d76031e53ep-1", "0253790158721acc"),
+    1000: ("0x1.a1f7ef5dfdf82p-1", "0x1.091c2c1a221a2p-1", 356,
+        "0x1.82a565c074736p+1", "0x1.d8fd59c9c652ep-1",
+        "0x1.ec1bc1b55d173p-1", "a1601477f0948444"),
+    9999: ("0x1.3928c3d8287b1p-1", "0x1.b26f64ab3d7fcp-1", 5456,
+        "0x1.82cf50ff11c69p+1", "0x1.010c052cf656ep+0",
+        "0x1.0085df9570e4fp+0", "8db5b9b32820f74f"),
+}
+
+
+def recorded_series(n):
+    y = np.random.default_rng(n).standard_normal(n) + 3.0
+    y[n // 2:] += 2.0 / np.sqrt(n)
+    return y
+
+
+class TestRecordedBits:
+    @pytest.mark.parametrize("n", sorted(RECORDED_BITS))
+    def test_kernel_bits(self, n):
+        y = recorded_series(n)
+        out, est, path = lm_test(y), null_estimates(y), cusum_path(y)
+        got = (
+            out.statistic.hex(), out.p_value.hex(), out.break_index,
+            out.mu_hat.hex(), out.sigma2_hat.hex(), path.scale.hex(),
+            hashlib.sha256(path.points.tobytes()).hexdigest()[:16],
+        )
+        assert got == RECORDED_BITS[n]
+        assert (est.mu_hat.hex(), est.sigma2_hat.hex()) == got[3:5]
+
+
 STEP = np.concatenate([np.zeros(50), np.ones(50)])
 
 
@@ -206,6 +251,8 @@ class TestScale:
 
 
 class TestCusumRows:
+    """The three public functions agree with one another on each row."""
+
     def test_rows_match_lm_test_and_constant_row_is_flagged(self):
         rng = np.random.default_rng(31)
         y = rng.standard_normal((6, 40)) + np.array([[0.0], [1.0], [5.0], [-2.0], [0.0], [0.0]])
@@ -213,30 +260,30 @@ class TestCusumRows:
         y[2] = 3.0
         y[3] *= 1e-300
         y[4] *= 1e300
-        rows = _cusum_rows(y)
-        assert rows.degenerate.tolist() == [False, False, True, False, False, False]
         for i in (0, 1, 3, 4, 5):
-            out, est = lm_test(y[i]), null_estimates(y[i])
-            assert rows.statistic[i] == out.statistic
-            assert rows.break_index[i] == out.break_index
-            assert rows.mu_hat[i] == est.mu_hat
-            assert rows.sigma2_hat[i] == est.sigma2_hat
+            out, est, path = lm_test(y[i]), null_estimates(y[i]), cusum_path(y[i])
             assert (out.mu_hat, out.sigma2_hat) == (est.mu_hat, est.sigma2_hat)
-            np.testing.assert_array_equal(rows.points[i], cusum_path(y[i]).points)
+            abs_points = np.abs(path.points)
+            assert abs_points.max() == out.statistic
+            assert abs_points.argmax() == out.break_index
+        with pytest.raises(DegenerateSeriesError, match="series is constant"):
+            lm_test(y[2])
+        with pytest.raises(DegenerateSeriesError, match="series is constant"):
+            cusum_path(y[2])
+        assert null_estimates(y[2]) == NullEstimates(mu_hat=3.0, sigma2_hat=0.0)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_value(self, bad):
         y = np.ones((3, 5))
         y[2, 4] = bad
-        with pytest.raises(ValueError, match="non-finite value at index 4"):
-            _cusum_rows(y)
-        with pytest.raises(ValueError, match="non-finite value at index 4"):
-            lm_test(y[2])
+        for function in (lm_test, null_estimates, cusum_path):
+            with pytest.raises(ValueError, match="non-finite value at index 4"):
+                function(y[2])
 
 
 class TestCusumSup:
-    """The Monte Carlo engine's statistic: ``_cusum_rows(y).statistic``
-    computed in place, with a sum of squares that calls no BLAS routine."""
+    """The Monte Carlo engine's statistic: the ``_cusum`` statistic of each
+    row, computed in place, with a sum of squares that calls no BLAS routine."""
 
     @pytest.mark.parametrize("n", [2, 3, 30, 1001, 2**14 + 1, 100_000])
     def test_matches_cusum_rows_within_4_ulps(self, n):
@@ -245,11 +292,11 @@ class TestCusumSup:
         y[1] *= 1e-300
         y[2] *= 1e300
         y[3] = -2.5
-        ref = _cusum_rows(y).statistic
-        got = _cusum_sup(y.copy())
-        assert np.isnan(got[3]) and np.isnan(ref[3])
-        tested = [0, 1, 2, 4, 5]
-        assert np.all(np.abs(got[tested] - ref[tested]) <= 4 * np.spacing(ref[tested]))
+        got = _cusum_sup(y.copy(), np.arange(1, n + 1) / n)
+        assert np.isnan(got[3]) and _cusum(y[3])[0] is None
+        for i in (0, 1, 2, 4, 5):
+            ref = _cusum(y[i])[0]
+            assert abs(got[i] - ref) <= 4 * np.spacing(ref)
 
     def test_bits_do_not_depend_on_blas_threads(self):
         # Above about 10,000 values a BLAS dot product splits over threads,
@@ -258,7 +305,7 @@ class TestCusumSup:
             "import numpy as np; from meanbreak.core import _cusum_sup; "
             "y = np.random.default_rng(2024).standard_normal((3, 100_000)); "
             "y += np.linspace(0.0, 0.05, 100_000); "
-            "print([float(s).hex() for s in _cusum_sup(y)])"
+            "print([float(s).hex() for s in _cusum_sup(y, np.arange(1, 100_001) / 100_000)])"
         )
         src = str(Path(meanbreak.__file__).resolve().parents[1])
         outputs = []
