@@ -121,24 +121,35 @@ def _centred_rows(y: np.ndarray, out: np.ndarray | None = None):
     return d, mu, exponent, degenerate
 
 
-def _cusum(series):
-    """Normalized CUSUM statistic of one series of at least two observations.
-
-    The series is checked for non-finite values, scaled and centred once
-    (:func:`_centred_rows`); the estimates are scaled back at the end.
-    Returns the statistic sup |B(k/n)|, the first k attaining it, mu_hat,
-    sigma2_hat (divisor n; inf where it exceeds the float range), sigma_hat
-    and the path.  A constant series gives its value, zero variances and
-    None for the statistic, the index and the path.
+def _estimates(series):
+    """Check, scale and centre one series of at least two observations
+    (:func:`_centred_rows`).  Returns the centred row (None if the series is
+    constant), its scaled sigma_hat and the exponent that scales it back,
+    mu_hat, and sigma2_hat (divisor n; inf where it exceeds the float range).
     """
     y = as_series(series, min_length=2)[None, :]
-    n = y.shape[1]
     d, mu, exponent, degenerate = _centred_rows(y)
     mu_hat = float(np.ldexp(mu, exponent)[0])
     if degenerate[0]:
+        return None, None, exponent, mu_hat, 0.0
+    sigma2 = np.vecdot(d, d) / y.shape[1]
+    with np.errstate(over="ignore"):
+        sigma2_hat = float(np.ldexp(sigma2, 2 * exponent)[0])
+    return d, np.sqrt(sigma2), exponent, mu_hat, sigma2_hat
+
+
+def _cusum(series):
+    """Normalized CUSUM statistic of one series of at least two observations.
+
+    Returns the statistic sup |B(k/n)|, the first k attaining it, mu_hat,
+    sigma2_hat and sigma_hat of :func:`_estimates`, and the path.  A
+    constant series gives its value, zero variances and None for the
+    statistic, the index and the path.
+    """
+    d, sigma, exponent, mu_hat, sigma2_hat = _estimates(series)
+    if d is None:
         return None, None, mu_hat, 0.0, 0.0, None
-    sigma2 = np.vecdot(d, d) / n
-    sigma = np.sqrt(sigma2)
+    n = d.shape[1]
     # Partial sums of centered values, then the exact-cancellation form
     # S_k - (k/n) S_n: the endpoint is zero by construction, not by luck.
     s = np.empty(n + 1)
@@ -150,8 +161,6 @@ def _cusum(series):
     points /= math.sqrt(n) * sigma[0]
     abs_points = np.abs(points, out=s)
     k = int(abs_points.argmax())  # first occurrence
-    with np.errstate(over="ignore"):
-        sigma2_hat = float(np.ldexp(sigma2, 2 * exponent)[0])
     return (float(abs_points[k]), k, mu_hat, sigma2_hat,
             float(np.ldexp(sigma, exponent)[0]), points)
 
@@ -175,7 +184,7 @@ def _cusum_sup(y: np.ndarray, grid: np.ndarray) -> np.ndarray:
     this skips the path array, the break index and the estimates.  The sum
     of squares is numpy's pairwise sum, not ``np.vecdot``: vecdot calls BLAS
     ``ddot``, which above about 10,000 values wakes OpenBLAS helper threads
-    that keep spinning after the call, oversubscribing the process pool,
+    that keep spinning after the call, oversubscribing the worker processes,
     and whose bits depend on the thread count.  The two reductions differ by
     a few ulps, and so do the two statistics.  ``_cusum`` keeps vecdot
     because the ``cli_test`` benchmark golden pins its bits; a change that
@@ -201,7 +210,7 @@ def null_estimates(series) -> NullEstimates:
     about 1e154) and underflows to 0 for spreads below about 1e-162; the
     mean, the CUSUM path and the test stay defined at any scale.
     """
-    mu_hat, sigma2_hat = _cusum(series)[2:4]
+    mu_hat, sigma2_hat = _estimates(series)[3:]
     return NullEstimates(mu_hat=mu_hat, sigma2_hat=sigma2_hat)
 
 

@@ -6,7 +6,8 @@ break at mid-sample, smooth logistic break) with three volatility dynamics
 measure size, presets 4-9 measure power.
 
 Per-replication seeds are derived from (master_seed, series, n, replication),
-so any parallel schedule produces the same table as the sequential run.
+so any split of the replications into ranges, each run in its own process,
+produces the same table as the sequential run.
 Replication r's noise is ``signals.gaussian_stream((master_seed, key, n, r),
 n)``; the engine draws it in blocks of replications from
 ``signals.noise_blocks``, which gives the same bits.
@@ -23,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from meanbreak import core, dist, signals, usable_cpus
+from meanbreak import core, dist, fork_map, signals, usable_cpus
 from meanbreak.signals import MeanSpec, SigmaSpec, TransitionSpec
 from meanbreak.signals import generate_series  # noqa: F401  re-exported: one replication
 
@@ -93,9 +94,10 @@ class ExperimentConfig:
     """Design of a rejection-frequency experiment.
 
     ``series`` entries are preset ids 1-9 or (label, MeanSpec, SigmaSpec)
-    triples for custom designs.  ``workers`` is an upper bound: at most
-    :func:`meanbreak.usable_cpus` pool processes run, and with one the
-    replications run in the calling process.
+    triples for custom designs.  ``workers`` is an upper bound: the
+    replications are split into at most :func:`meanbreak.usable_cpus`
+    ranges, the first run in the calling process and each other one in a
+    forked child, so with one the calling process runs them all.
     """
 
     series: tuple = (1,)
@@ -178,31 +180,29 @@ def _rejections(statistic: np.ndarray, alphas: np.ndarray, bands: np.ndarray) ->
     return reject
 
 
-def _cell_chunk(
-    mean_spec: MeanSpec,
-    sigma_spec: SigmaSpec,
-    n: int,
-    key: int,
-    master_seed: int,
-    levels: tuple[float, ...],
-    bands: np.ndarray,
-    reps: range,
-) -> tuple[np.ndarray, int]:
-    """Rejection counts per level and degenerate count over the replications
-    ``reps``.
+def _range_counts(config: ExperimentConfig, bands: np.ndarray, reps: range) -> list:
+    """Rejection counts per level and the degenerate count of each (series,
+    n) cell of ``config``, in order, over the replications ``reps``.
+    ``bands`` are ``_critical_bands(config.levels)``."""
+    return [_cell_counts(config, bands, reps, *_resolve(entry)[1:], n)
+            for entry in config.series for n in config.sample_sizes]
+
+
+def _cell_counts(config, bands, reps, key, mean_spec, sigma_spec, n) -> tuple[np.ndarray, int]:
+    """One cell of :func:`_range_counts`, in a call of its own, so that its
+    paths are freed before the next cell's are built.
 
     Replication r is ``generate_series`` with seed (master_seed, key, n, r);
     each block of ``signals.noise_blocks`` goes through the CUSUM kernel
-    at once, so results do not depend on how the range is split.  ``bands``
-    are ``_critical_bands(levels)``.
+    at once, so results do not depend on how the replications are split.
     """
     mu = signals.mean_path(mean_spec, n)
     sigma = signals.sigma_path(sigma_spec, n)
     grid = np.arange(1, n + 1) / n
-    alphas = np.asarray(levels)
-    rejections = np.zeros(len(levels), dtype=np.int64)
+    alphas = np.asarray(config.levels)
+    rejections = np.zeros(len(alphas), dtype=np.int64)
     degenerate = 0
-    for y in signals.noise_blocks((master_seed, key, n), reps, n):
+    for y in signals.noise_blocks((config.master_seed, key, n), reps, n):
         y *= sigma  # y = mu + sigma * eps, in place
         y += mu
         statistic = core._cusum_sup(y, grid)
@@ -220,40 +220,25 @@ def _chunk_bounds(replications: int, workers: int) -> list[range]:
 def run_experiment(config: ExperimentConfig) -> RejectionTable:
     """Run the configured experiment; output is identical for any worker count.
 
-    Pool workers fork (or spawn) all at once, so more processes than CPUs
-    would only start interpreters that wait for one.
+    The replications are split into one range per process, at most
+    ``config.workers`` and :func:`meanbreak.usable_cpus`, since more
+    processes than CPUs would only wait for one.  :func:`meanbreak.fork_map`
+    runs the first range in this process and each other one in a forked
+    child; the counts of the ranges are added up.
     """
-    processes = min(config.workers, usable_cpus())
+    ranges = _chunk_bounds(config.replications, min(config.workers, usable_cpus()))
+    bands = _critical_bands(config.levels)
+    parts = fork_map(_range_counts, [(config, bands, reps) for reps in ranges],
+                     [f"the simulation of replications {r.start}-{r.stop}" for r in ranges])
     table = RejectionTable(
         replications=config.replications, master_seed=config.master_seed
     )
-    cells, tasks = [], []
-    bands = _critical_bands(config.levels)
-    for entry in config.series:
-        label, key, mean_spec, sigma_spec = _resolve(entry)
-        for n in config.sample_sizes:
-            for reps in _chunk_bounds(config.replications, processes):
-                cells.append((label, n))
-                tasks.append((mean_spec, sigma_spec, n, key, config.master_seed,
-                              config.levels, bands, reps))
-    if processes == 1:
-        results = list(map(_cell_chunk, *zip(*tasks)))
-    else:
-        # Imported here: a one-process run never loads multiprocessing.
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=processes) as pool:
-            results = list(pool.map(_cell_chunk, *zip(*tasks)))
-    for (label, n), (rejections, degenerate) in zip(cells, results):
-        for alpha, count in zip(config.levels, rejections):
-            cell = (label, n, alpha)
-            table.cells[cell] = table.cells.get(cell, 0) + int(count)
-        table.degenerate[(label, n)] = table.degenerate.get((label, n), 0) + degenerate
+    cells = [(label, n) for label, *_ in map(_resolve, config.series) for n in config.sample_sizes]
+    for (label, n), *counts in zip(cells, *parts):
+        table.degenerate[(label, n)] = sum(degenerate for _, degenerate in counts)
+        for alpha, count in zip(config.levels, sum(rejections for rejections, _ in counts)):
+            table.cells[(label, n, alpha)] = int(count)
     return table
-
-
-def _sorted_cells(table: RejectionTable):
-    return sorted(table.cells.items(), key=lambda item: (item[0][0], item[0][1], item[0][2]))
 
 
 def emit_table(table: RejectionTable, format: str = "text") -> str:
@@ -272,7 +257,7 @@ def _emit_csv(table: RejectionTable) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["series", "n", "alpha", "rejections", "replications", "frequency"])
-    for (label, n, alpha), rejections in _sorted_cells(table):
+    for (label, n, alpha), rejections in sorted(table.cells.items()):
         writer.writerow(
             [label, n, f"{alpha:.10g}", rejections, table.replications,
              f"{rejections / table.replications:.10g}"]
@@ -290,7 +275,7 @@ def _emit_json(table: RejectionTable) -> str:
             "replications": table.replications,
             "frequency": rejections / table.replications,
         }
-        for (label, n, alpha), rejections in _sorted_cells(table)
+        for (label, n, alpha), rejections in sorted(table.cells.items())
     ]
     degenerate = [
         {"series": label, "n": n, "count": count}

@@ -5,20 +5,16 @@ lines, naming every row that fails by its file line."""
 from __future__ import annotations
 
 import bisect
-import contextlib
 import csv
 import io
 import itertools
 import math
-import os
-import pickle
-import signal
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from meanbreak import usable_cpus
+from meanbreak import fork_map, usable_cpus
 
 BLOCK_CHARS = 1 << 20  # bytes of a data file converted per bulk call
 _MIN_RANGE = 4 * BLOCK_CHARS  # bytes of a data file per reader process, at least
@@ -158,8 +154,6 @@ def _ranges(path: str, start: int) -> list[tuple[int, int]]:
     with open(path, "rb") as fh:
         end = fh.seek(0, io.SEEK_END)
         count = min(usable_cpus(), (end - start) // _MIN_RANGE)
-        if count > 1 and not hasattr(os, "fork"):
-            count = 1
         starts = [start]
         for k in range(1, count):
             fh.seek(max(starts[-1], start + (end - start) * k // count))
@@ -173,32 +167,16 @@ def _ranges(path: str, start: int) -> list[tuple[int, int]]:
 
 def _read_ranges(path: str, start: int, number: int, comma: bool, col: int):
     """Convert column ``col`` of ``path`` from byte ``start`` on, which
-    follows file line ``number``: range 0 of :func:`_ranges` in this process,
-    the others in forked processes.  Each range's line numbers and block
+    follows file line ``number``: the ranges of :func:`_ranges` by
+    :func:`meanbreak.fork_map`, range 0 in this process.  Each range's line numbers and block
     table count from its own start; they are shifted by the lines and rows of
     the ranges before it, so a range boundary reads as a block boundary.
 
     Returns the values and the block table of :class:`DataRows`.
     """
     ranges = _ranges(path, start)
-    readers = []  # (pid, pipe, byte range) of each reader not yet reaped
-    try:
-        for span in ranges[1:]:
-            readers.append((*_fork_reader(path, span, comma, col), span))
-        parts = [_read_values(path, *ranges[0], comma, col)]
-        while readers:
-            part = _receive(*readers[0])
-            readers.pop(0)
-            if isinstance(part, BaseException):
-                raise part
-            parts.append(part)
-    except BaseException:
-        for pid, pipe, _ in readers:
-            pipe.close()
-            with contextlib.suppress(ProcessLookupError, ChildProcessError):  # reaped
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-        raise
+    parts = fork_map(_read_values, [(path, *span, comma, col) for span in ranges],
+                     [f"the reader of bytes {a}-{b}" for a, b in ranges])
     values, blocks, bad, nonfinite = [], [], [], []
     rows = 0
     for part, part_blocks, part_bad, part_nonfinite, lines in parts:
@@ -215,57 +193,6 @@ def _read_ranges(path: str, start: int, number: int, comma: bool, col: int):
     if reports:
         raise DataError(f"{path}: " + "; ".join(reports))
     return np.concatenate(values), tuple(blocks)
-
-
-def _fork_reader(path: str, span: tuple[int, int], comma: bool, col: int):
-    """Fork a reader of bytes ``span`` of ``path``: it pickles what
-    :func:`_read_values` returns, or the exception it raised, into a pipe,
-    and ends.
-
-    Fork, not spawn: a spawned reader would import numpy again, which costs
-    about as much as reading its range.  The readers call no BLAS, whose
-    threads are the only ones numpy may have started.  A plain child, not a
-    pool worker, so a daemonic pool worker may fork readers too.
-
-    Returns the reader's pid and the read end of its pipe.
-    """
-    read_fd, write_fd = os.pipe()
-    try:
-        pid = os.fork()
-    except BaseException:
-        os.close(read_fd)
-        os.close(write_fd)
-        raise
-    if pid == 0:  # the reader, which ends here whatever happens
-        status = 1
-        try:
-            os.close(read_fd)
-            try:
-                part = _read_values(path, *span, comma, col)
-            except BaseException as exc:
-                part = exc
-            with open(write_fd, "wb") as pipe:
-                pickle.dump(part, pipe, pickle.HIGHEST_PROTOCOL)
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(write_fd)
-    return pid, open(read_fd, "rb")
-
-
-def _receive(pid: int, pipe, span: tuple[int, int]):
-    """What reader ``pid`` of bytes ``span`` sent through ``pipe``, once it
-    has ended and been reaped: a part or an exception.  A reader that ended
-    without sending all of it gives a ChildProcessError."""
-    with pipe:
-        data = pipe.read()
-    status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    if status:
-        return ChildProcessError(
-            f"the reader of bytes {span[0]}-{span[1]} ended with exit status {status}"
-            " and sent no result"
-        )
-    return pickle.loads(data)
 
 
 def _read_values(path: str, start: int, end: int, comma: bool, col: int):

@@ -5,16 +5,14 @@ import json
 import multiprocessing
 import os
 import signal
-import subprocess
-import sys
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 import meanbreak
 from meanbreak import cli, core, reader
+from processes import assert_no_children, run_child
 
 
 def run_cli(capsys, *argv):
@@ -662,12 +660,6 @@ class TestRanges:
             assert pool.apply(column_bits, (path,)) == expected[0]
 
 
-def assert_no_children():
-    """This process has no child left, running or unreaped."""
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 class TestCmdSimulate:
     def test_one_cell_table(self, capsys):
         code, out, _ = run_cli(
@@ -861,18 +853,6 @@ class TestCmdSimulate:
             "  var W(0.5) = 0.2241  limit 0.3064\n"
             "  var W(0.75) = 0.5544  limit 0.5557\n"
         )
-
-
-def run_child(code):
-    """Standard output of ``code`` run in a fresh interpreter."""
-    src = str(Path(meanbreak.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
-    )
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout.strip()
 
 
 class TestImports:

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -94,6 +95,23 @@ class TestNullEstimates:
     def test_too_short(self):
         with pytest.raises(InsufficientDataError):
             null_estimates([1.0])
+
+    def test_builds_no_path(self):
+        # One centred copy of the series is all the estimates need; the test
+        # also builds the path and the grid k/n.
+        y = np.random.default_rng(3).standard_normal(1_000_000)
+
+        def peak(function):
+            tracemalloc.start()
+            try:
+                function(y)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(null_estimates) < 1.1 * y.nbytes < peak(lm_test) / 2
+        out, est = lm_test(y), null_estimates(y)
+        assert (est.mu_hat, est.sigma2_hat) == (out.mu_hat, out.sigma2_hat)
 
 
 class TestCusumPath:

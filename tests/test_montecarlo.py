@@ -1,10 +1,12 @@
 """Tests for the rejection-frequency experiment harness and table emission."""
 
-import concurrent.futures
 import dataclasses
 import json
 import math
+import multiprocessing
 import os
+import signal
+import time
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from meanbreak.montecarlo import (
     run_experiment,
 )
 from meanbreak.signals import MeanSpec, SigmaSpec, generate_series
+from processes import assert_no_children, run_child
 
 
 class TestPreset:
@@ -101,6 +104,10 @@ SMALL = ExperimentConfig(
 )
 
 
+def table_json(config):
+    return emit_table(run_experiment(config), "json")
+
+
 class TestRunExperiment:
     def test_shape_and_bounds(self):
         table = run_experiment(SMALL)
@@ -133,42 +140,33 @@ class TestRunExperiment:
         assert emit_table(sequential, "json") == emit_table(parallel, "json")
 
     @staticmethod
-    def pools_requested(monkeypatch, workers):
-        """Sizes of the pools ``run_experiment`` asks for, checking its table;
-        a fake pool maps inline, so no process starts."""
-        requested = []
+    def processes_used(monkeypatch, workers):
+        """Processes ``run_experiment`` runs its ranges in, checking its
+        table; a fake ``fork_map`` runs every range inline, so no process
+        starts."""
+        used, expected = [], table_json(SMALL)
 
-        class InlinePool:
-            def __init__(self, max_workers):
-                requested.append(max_workers)
+        def inline(fn, calls, names):
+            used.append(len(calls))
+            return [fn(*args) for args in calls]
 
-            def __enter__(self):
-                return self
+        monkeypatch.setattr(montecarlo, "fork_map", inline)
+        assert table_json(dataclasses.replace(SMALL, workers=workers)) == expected
+        return used
 
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
-        table = run_experiment(dataclasses.replace(SMALL, workers=workers))
-        assert emit_table(table, "json") == emit_table(run_experiment(SMALL), "json")
-        return requested
-
-    @pytest.mark.parametrize("cpus, pools", [(3, [3]), (None, [])])
-    def test_processes_capped_at_cpu_count(self, monkeypatch, cpus, pools):
+    @pytest.mark.parametrize("cpus, processes", [(3, [3]), (None, [1])])
+    def test_processes_capped_at_cpu_count(self, monkeypatch, cpus, processes):
         # Where the platform keeps no affinity mask, the machine's count.
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        assert self.pools_requested(monkeypatch, 10_000) == pools
+        assert self.processes_used(monkeypatch, 10_000) == processes
 
     def test_processes_capped_at_affinity(self, monkeypatch):
         # Under taskset or a cpuset, fewer CPUs than the machine has.
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 64)
-        assert self.pools_requested(monkeypatch, 10_000) == [3]
-        assert self.pools_requested(monkeypatch, 2) == [2]
+        assert self.processes_used(monkeypatch, 10_000) == [3]
+        assert self.processes_used(monkeypatch, 2) == [2]
 
     def test_monotone_in_alpha(self):
         table = run_experiment(SMALL)
@@ -241,6 +239,68 @@ def reference_table(config: ExperimentConfig) -> RejectionTable:
                 table.cells[(f"Series {sid}", n, alpha)] = count
             table.degenerate[(f"Series {sid}", n)] = degenerate
     return table
+
+
+class TestForkedRanges:
+    """On two workers, the second range of replications runs in a forked
+    child, which no error or interrupt lets outlive the call."""
+
+    TWO = dataclasses.replace(SMALL, workers=2)
+
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+    def test_daemon_forks_its_ranges(self):
+        # A daemonic pool worker may start no pool process, but it forks the
+        # ranges like any process.
+        with multiprocessing.get_context("fork").Pool(1) as pool:
+            assert pool.apply(table_json, (self.TWO,)) == table_json(SMALL)
+
+    def test_interrupt_kills_every_child(self, monkeypatch):
+        parent = os.getpid()
+
+        def interrupted(*args):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            time.sleep(60)  # a child that would outlive the call unless killed
+
+        monkeypatch.setattr(montecarlo, "_range_counts", interrupted)
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            run_experiment(self.TWO)
+        assert time.monotonic() - start < 30  # killed, not waited for
+        assert_no_children()
+
+    @pytest.mark.parametrize("end, status", [
+        (lambda: os._exit(7), 7),
+        (lambda: os.kill(os.getpid(), signal.SIGKILL), -signal.SIGKILL),
+    ])
+    def test_child_that_sends_nothing(self, monkeypatch, end, status):
+        parent, counts = os.getpid(), montecarlo._range_counts
+
+        def ended(*args):
+            if os.getpid() != parent:
+                end()
+            return counts(*args)
+
+        monkeypatch.setattr(montecarlo, "_range_counts", ended)
+        with pytest.raises(ChildProcessError) as info:
+            run_experiment(self.TWO)
+        assert str(info.value) == (f"the simulation of replications 20-40 ended "
+                                   f"with exit status {status} and sent no result")
+        assert_no_children()
+
+    def test_loads_no_pool_modules(self):
+        code = (
+            "import os, sys; from meanbreak.cli import main\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "code = main(['simulate', '--series', '1', '--n', '30', '--reps', '20',"
+            " '--workers', '2', '--format', 'csv'])\n"
+            "print(code, sorted(m for m in sys.modules"
+            " if m.split('.')[0] in ('multiprocessing', 'concurrent')))\n"
+        )
+        assert run_child(code).splitlines()[-1] == "0 []"
 
 
 class TestBatchedEngine:
