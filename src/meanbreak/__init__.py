@@ -3,7 +3,6 @@ with its Brownian-bridge limit law, signal generators, asymptotic drift and
 variance formulas, and a Monte Carlo size/power harness."""
 
 import contextlib
-import importlib
 import os
 import pickle
 import signal
@@ -104,29 +103,14 @@ def _fork(fn, args: tuple):
     return pid, open(read_fd, "rb")
 
 
-# Names from the simulation modules, loaded on first access (PEP 562), so that
-# `import meanbreak.cli` and the `test`, `pvalue` and `quantile` commands skip
-# their set-up: the spec classes and the nine preset designs (about 15 ms).
-_LAZY = {
-    **dict.fromkeys(
-        ("ExperimentConfig", "RejectionTable", "emit_table", "preset", "run_experiment"),
-        "montecarlo",
-    ),
-    **dict.fromkeys(
-        ("MeanSpec", "SigmaSpec", "TransitionSpec", "ergodic_variance_limit",
-         "gaussian_stream", "generate_series", "mean_path", "sigma_path", "transition"),
-        "signals",
-    ),
-}
-
-
-def __getattr__(name):
-    if name not in _LAZY:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f"meanbreak.{_LAZY[name]}"), name)
-    globals()[name] = value
-    return value
-
+# Below fork_map and usable_cpus, which montecarlo and reader import from here.
+from meanbreak.montecarlo import (
+    ExperimentConfig, RejectionTable, emit_table, preset, run_experiment,
+)
+from meanbreak.signals import (
+    MeanSpec, SigmaSpec, TransitionSpec, ergodic_variance_limit, gaussian_stream,
+    generate_series, mean_path, sigma_path, transition,
+)
 
 __all__ = [
     "CusumPath",

@@ -15,7 +15,7 @@ from contextlib import nullcontext
 
 import numpy as np
 
-from meanbreak import core, dist, usable_cpus
+from meanbreak import core, dist, montecarlo, signals, usable_cpus
 from meanbreak.reader import DataError, load_column
 
 __all__ = ["main"]
@@ -98,10 +98,14 @@ def cmd_test(args) -> int:
 def _read_config_file(path: str) -> dict[str, tuple[int, str]]:
     """The file's settings: key -> (line number, value)."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        with open(path, "rb") as fh:
+            data = fh.read()
+        text = data.decode("utf-8")
     except OSError as exc:
         raise DataError(f"cannot read config {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:  # named by the line of the byte
+        lineno = len((data[:exc.start].decode("utf-8") + "_").splitlines())
+        raise DataError(f"{path}:{lineno}: {exc}") from None
     options: dict[str, tuple[int, str]] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
@@ -123,8 +127,6 @@ def _read_config_file(path: str) -> dict[str, tuple[int, str]]:
 
 
 def _config_from_args(args) -> montecarlo.ExperimentConfig:
-    from meanbreak import montecarlo
-
     file_opts = _read_config_file(args.config) if args.config else {}
 
     def pick(flag_value, key, convert, default):
@@ -170,8 +172,6 @@ def _config_from_args(args) -> montecarlo.ExperimentConfig:
 
 
 def cmd_simulate(args) -> int:
-    from meanbreak import montecarlo
-
     config = _config_from_args(args)
     try:  # opened before the simulation runs, so a bad path costs none of it
         out = open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout)
@@ -187,7 +187,7 @@ def cmd_simulate(args) -> int:
 def _print_diagnostics(config: montecarlo.ExperimentConfig) -> None:
     """Empirical vs limiting variance of the partial-sum process at a few
     sample fractions, for each simulated volatility spec."""
-    from meanbreak import asymptotics, montecarlo, signals
+    from meanbreak import asymptotics  # loads numpy.polynomial, which no other command needs
 
     taus = (0.25, 0.5, 0.75)
     n = max(config.sample_sizes)

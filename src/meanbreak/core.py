@@ -143,12 +143,13 @@ def _cusum(series):
 
     Returns the statistic sup |B(k/n)|, the first k attaining it, mu_hat,
     sigma2_hat and sigma_hat of :func:`_estimates`, and the path.  A
-    constant series gives its value, zero variances and None for the
-    statistic, the index and the path.
+    constant series raises :class:`DegenerateSeriesError`.
     """
     d, sigma, exponent, mu_hat, sigma2_hat = _estimates(series)
     if d is None:
-        return None, None, mu_hat, 0.0, 0.0, None
+        raise DegenerateSeriesError(
+            "series is constant (zero variance); the test statistic is undefined"
+        )
     n = d.shape[1]
     # Partial sums of centered values, then the exact-cancellation form
     # S_k - (k/n) S_n: the endpoint is zero by construction, not by luck.
@@ -163,15 +164,6 @@ def _cusum(series):
     k = int(abs_points.argmax())  # first occurrence
     return (float(abs_points[k]), k, mu_hat, sigma2_hat,
             float(np.ldexp(sigma, exponent)[0]), points)
-
-
-def _nonconstant(cusum: tuple) -> tuple:
-    """``cusum``, the result of :func:`_cusum`, unless its series is constant."""
-    if cusum[-1] is None:
-        raise DegenerateSeriesError(
-            "series is constant (zero variance); the test statistic is undefined"
-        )
-    return cusum
 
 
 def _cusum_sup(y: np.ndarray, grid: np.ndarray) -> np.ndarray:
@@ -216,7 +208,7 @@ def null_estimates(series) -> NullEstimates:
 
 def cusum_path(series) -> CusumPath:
     """Normalized CUSUM path B(k/n) = sum_{t<=k}(y_t - mean) / (sqrt(n) * sd)."""
-    sigma_hat, points = _nonconstant(_cusum(series))[4:]
+    sigma_hat, points = _cusum(series)[4:]
     return CusumPath(points=points, scale=sigma_hat)
 
 
@@ -231,7 +223,7 @@ def lm_test(series, alpha: float = 0.05) -> TestOutcome:
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    statistic, break_index, mu_hat, sigma2_hat = _nonconstant(_cusum(series))[:4]
+    statistic, break_index, mu_hat, sigma2_hat = _cusum(series)[:4]
     p = dist.p_value(statistic)
     return TestOutcome(
         statistic=statistic,

@@ -24,13 +24,13 @@ class DataError(Exception):
     """A problem with user-supplied data (unreadable, unparsable, degenerate)."""
 
 
-def _column_index(selector: str, header: list[str]) -> int:
+def _column_index(selector: str | None) -> int | str | None:
+    """``selector`` as a column index, or as it is if it is no integer: a
+    header name, or None."""
     try:
         index = int(selector)
-    except ValueError:
-        if selector not in header:
-            raise DataError(f"column {selector!r} not found in header {header}") from None
-        return header.index(selector)
+    except (TypeError, ValueError):
+        return selector
     if index < 0:
         raise ValueError(f"column index must be nonnegative, got {index}")
     return index
@@ -82,6 +82,7 @@ def load_column(path: str, column: str, date_column: str | None = None):
     Returns the values as float64 and a :class:`DataRows` that finds the
     file line and the date of a data row.
     """
+    col, date_col = _column_index(column), _column_index(date_column)  # before the read
     try:
         # Line ends as in the file (newline=""), so that the bytes before the
         # data are the encoded length of the lines read.
@@ -98,17 +99,26 @@ def load_column(path: str, column: str, date_column: str | None = None):
                 raise DataError(f"{path} contains no data rows")
         comma = "," in line
         first = _split(line, comma)
-        if first is None:
-            raise DataError(f"{path}: " + _rows_report("rows failed to parse", [first_line]))
-        header = first if any(not _is_float(cell) for cell in first) else []
-        col = _column_index(column, header)
-        date_col = None if date_column is None else _column_index(date_column, header)
-        for index in (col, date_col):
-            if index is not None and index >= len(first):
-                raise DataError(
-                    f"{path}: column {index} is past the {len(first)} "
-                    f"columns of row {first_line}"
-                )
+        try:
+            if first is None:
+                raise DataError(f"{path}: " + _rows_report("rows failed to parse", [first_line]))
+            header = first if any(not _is_float(cell) for cell in first) else []
+            for name in (col, date_col):
+                if isinstance(name, str) and name not in header:
+                    raise DataError(f"column {name!r} not found in header {header}")
+            col, date_col = (header.index(s) if isinstance(s, str) else s for s in (col, date_col))
+            for index in (col, date_col):
+                if index is not None and index >= len(first):
+                    raise DataError(
+                        f"{path}: column {index} is past the {len(first)} "
+                        f"columns of row {first_line}"
+                    )
+        except DataError:
+            # The header read decodes a few KiB past the first row, so a byte
+            # that is not UTF-8 is looked for in the whole file and named first.
+            if undecodable := _undecodable(path):
+                raise DataError(f"cannot read {path}: {undecodable}") from None
+            raise
         if not header:
             first_line = start = 0
         values, blocks = _read_ranges(path, start, first_line, comma, col)

@@ -283,6 +283,7 @@ class TestCmdTest:
         (("--column", "5"), 3, "column 5 is past the 2 columns of row 1"),
         (("--column", "price", "--date-column", "2"), 3, "column 2 is past"),
         (("--column", "volume"), 3, "column 'volume' not found"),
+        (("--date-column", "-1"), 2, "usage error: column index must be nonnegative, got -1"),
     ])
     def test_column_selection_errors(self, tmp_path, capsys, args, code, message):
         f = tmp_path / "p.csv"
@@ -290,6 +291,24 @@ class TestCmdTest:
         got, _, err = run_cli(capsys, "test", str(f), *args)
         assert got == code
         assert message in err
+
+    @pytest.mark.parametrize("where", ["early", "late"])
+    @pytest.mark.parametrize("column", ["z", "5", "-1"])
+    def test_column_errors_do_not_depend_on_read_ahead(self, tmp_path, capsys, where, column):
+        # The header read decodes 8 KiB ahead of the first row; the error
+        # must not depend on whether the byte lies within them.
+        data = ("\n".join(["date,y", *price_rows(3000)]) + "\n").encode()
+        offset = 200 if where == "early" else len(data) - 100
+        path = tmp_path / "r.csv"
+        path.write_bytes(data[:offset] + b"\xff" + data[offset:])
+        line = data.count(b"\n", 0, offset) + 1
+        code, out, err = run_cli(capsys, "test", str(path), "--column", column)
+        if column == "-1":  # a usage error, found before the file is opened
+            expected = (2, "usage error: column index must be nonnegative, got -1\n")
+        else:
+            expected = (3, f"error: cannot read {path}: 'utf-8' codec can't decode byte 0xff "
+                           f"at file offset {offset} (line {line}): invalid start byte\n")
+        assert (code, out, err) == (expected[0], "", expected[1])
 
     def test_too_few_rows(self, tmp_path, capsys):
         f = tmp_path / "r.txt"
@@ -792,6 +811,14 @@ class TestCmdSimulate:
         code, _, err = run_cli(capsys, "simulate", "--config", str(cfg))
         assert code == 3
         assert "key" in err
+
+    def test_undecodable_config_is_data_error(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"n = 30\nreps = 5\xff\n")
+        code, out, err = run_cli(capsys, "simulate", "--series", "1", "--config", str(cfg))
+        assert (code, out) == (3, "")
+        assert err == (f"error: {cfg}:2: 'utf-8' codec can't decode byte 0xff in position 15: "
+                       "invalid start byte\n")
 
     def test_unknown_config_key(self, tmp_path, capsys):
         cfg = tmp_path / "sim.cfg"

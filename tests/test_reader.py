@@ -140,6 +140,7 @@ def data_files(draw):
 @settings(max_examples=35, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(case=data_files())
+@example(case=(b"date,y\n" + b"d7,1.5\n" * 2000 + b"\xff\n", "5", None))  # past 8 KiB read-ahead
 def test_reads_as_reference(tmp_path, monkeypatch, capsys, block_chars, cpus, case):
     data, column, date_column = case
     monkeypatch.setattr(reader, "BLOCK_CHARS", block_chars)
