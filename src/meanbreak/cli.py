@@ -100,11 +100,12 @@ def _read_config_file(path: str) -> dict[str, tuple[int, str]]:
     try:
         with open(path, "rb") as fh:
             data = fh.read()
-        text = data.decode("utf-8")
+        text = data.decode("utf-8-sig")  # a leading byte-order mark is dropped
     except OSError as exc:
         raise DataError(f"cannot read config {path}: {exc}") from exc
     except UnicodeDecodeError as exc:  # named by the line of the byte
-        lineno = len((data[:exc.start].decode("utf-8") + "_").splitlines())
+        # exc.object is the data after any byte-order mark, as exc.start counts
+        lineno = len((exc.object[:exc.start].decode("utf-8") + "_").splitlines())
         raise DataError(f"{path}:{lineno}: {exc}") from None
     options: dict[str, tuple[int, str]] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):

@@ -74,7 +74,9 @@ def _cdf(z: float, density: bool = False):
             term = 2.0 * exp(following * z * z)
             if term < _TRUNCATION_TOLERANCE:
                 break
-    cdf = min(max(total, 0.0), 1.0)
+    # Comparisons, not min and max: the same float for every total, -0.0 and
+    # nan included, without two builtin calls.
+    cdf = 0.0 if total < 0.0 else 1.0 if total > 1.0 else total
     return (cdf, slope) if density else cdf
 
 
@@ -83,27 +85,42 @@ def p_value(statistic: float) -> float:
     statistic = float(statistic)
     if not statistic >= 0.0:  # nan too
         raise ValueError(f"statistic must be nonnegative, got {statistic}")
-    return min(max(1.0 - _cdf(statistic), 0.0), 1.0)
+    p = 1.0 - _cdf(statistic)
+    return 0.0 if p < 0.0 else 1.0 if p > 1.0 else p
 
 
 def bridge_sup_quantile(p: float) -> float:
     """Inverse CDF by Newton steps kept inside a bisection bracket (rtsafe).
 
+    F(z) >= 1 - 2 exp(-2 z^2), the series cut after its first term, so the
+    root lies in [0, hi] with hi = sqrt(ln(2 / (1 - p)) / 2), and the bracket
+    costs no walk of the series.  The start is a tail inverse.  Above
+    p = 0.5 it inverts the series' first two terms, 1 - 2u + 2u^4 = p with
+    u = exp(-2 z^2), by two fixed-point steps u = q + u^4 from
+    q = (1 - p) / 2.  Below it, it inverts the first theta term,
+    sqrt(2 pi) / z exp(-pi^2 / (8 z^2)) = p, which with w = pi^2 / (8 z^2)
+    reads w - ln(w) / 2 = ln(16 / pi) / 2 - ln p, by two Newton steps in w.
+    Either start lies in (0, hi]; above about p = 1 - 1e-5, where q^4 is
+    lost next to q, it is hi, which is then the root to within rounding.
+
     A step that would leave the bracket, or that does not halve the step
     before the last one, is replaced by bisection: in the convex lower tail,
-    where F ~ exp(-pi^2 / (8 z^2)), plain Newton crawls.  Above p = 0.5 the
-    start is the one-term tail inverse sqrt(ln(2 / (1 - p)) / 2), at or
-    just above the root.  Stops at a zero residual or a step below 1e-14.
+    where F ~ exp(-pi^2 / (8 z^2)), plain Newton crawls.  Stops at a zero
+    residual or a step below 1e-14.
     """
     p = float(p)
     if not 0.0 < p < 1.0:
         raise ValueError(f"probability must lie in (0, 1), got {p}")
-    lo, hi = 0.0, 1.0  # F(lo) < p <= F(hi)
-    while _cdf(hi) < p:
-        lo, hi = hi, 2.0 * hi
-    z = math.sqrt(math.log(2.0 / (1.0 - p)) / 2.0) if p > 0.5 else 0.5 * (lo + hi)
-    if not lo < z < hi:
-        z = 0.5 * (lo + hi)
+    q = 0.5 * (1.0 - p)
+    lo, hi = 0.0, math.sqrt(-math.log(q) / 2.0)  # F(lo) < p <= F(hi)
+    if p > 0.5:
+        z = math.sqrt(-math.log(q + (q + q**4) ** 4) / 2.0)
+    else:
+        c = 0.5 * math.log(16.0 / math.pi) - math.log(p)
+        w = c + 0.5 * math.log(c)
+        for _ in range(2):
+            w -= (w - 0.5 * math.log(w) - c) / (1.0 - 0.5 / w)
+        z = math.pi / math.sqrt(8.0 * w)
     step = before = hi - lo
     for _ in range(200):
         cdf, slope = _cdf(z, density=True)

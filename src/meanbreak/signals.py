@@ -258,7 +258,8 @@ def _logistic_moments(tau1: float, gamma: float, a: float, b: float):
     for x in (a, b):
         z = gamma * (x - tau1)
         e = math.exp(-abs(z))
-        ends.append((max(z, 0.0) + math.log1p(e), (1.0 if z >= 0.0 else e) / (1.0 + e)))
+        soft = (0.0 if z < 0.0 else z) + math.log1p(e)
+        ends.append((soft, (1.0 if z >= 0.0 else e) / (1.0 + e)))
     (soft_a, f_a), (soft_b, f_b) = ends
     m1 = (soft_b - soft_a) / gamma
     return m1, m1 - (f_b - f_a) / gamma

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface (run in-process)."""
 
+import codecs
 import csv
 import json
 import multiprocessing
@@ -818,6 +819,26 @@ class TestCmdSimulate:
         code, out, err = run_cli(capsys, "simulate", "--series", "1", "--config", str(cfg))
         assert (code, out) == (3, "")
         assert err == (f"error: {cfg}:2: 'utf-8' codec can't decode byte 0xff in position 15: "
+                       "invalid start byte\n")
+
+    def test_config_with_byte_order_mark_runs_as_without(self, tmp_path, capsys):
+        text = b"series = 1\nn = 50\nreps = 20\nseed = 3\nworkers = 1\n"
+        plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
+        plain.write_bytes(text)
+        marked.write_bytes(codecs.BOM_UTF8 + text)
+        runs = [run_cli(capsys, "simulate", "--config", str(cfg), "--format", "csv")
+                for cfg in (plain, marked)]
+        assert runs[0][0] == 0
+        assert runs[1] == runs[0]
+
+    def test_undecodable_config_with_byte_order_mark_names_line(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        # The bad byte is within the mark's length of the line end before it.
+        cfg.write_bytes(codecs.BOM_UTF8 + b"n = 30\n\xffreps = 5\n")
+        code, out, err = run_cli(capsys, "simulate", "--series", "1", "--config", str(cfg))
+        assert (code, out) == (3, "")
+        # The position counts from the end of the mark.
+        assert err == (f"error: {cfg}:2: 'utf-8' codec can't decode byte 0xff in position 7: "
                        "invalid start byte\n")
 
     def test_unknown_config_key(self, tmp_path, capsys):

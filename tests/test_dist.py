@@ -9,6 +9,47 @@ from meanbreak import dist
 from meanbreak.dist import bridge_sup_cdf, bridge_sup_quantile, p_value
 
 
+def written_out(z, density=False):
+    """The series as written before its coefficients were precomputed: each
+    exponent multiplied out from k and z in the loop."""
+    if z < 0.04:
+        return (0.0, 0.0) if density else 0.0
+    slope = 0.0
+    if z < 0.5:
+        factor = math.sqrt(2.0 * math.pi) / z
+        total = 0.0
+        for k in range(1, 101):
+            exponent = (2 * k - 1) ** 2 * math.pi**2 / (8.0 * z * z)
+            term = factor * math.exp(-exponent)
+            total += term
+            if density:
+                slope += term * (2.0 * exponent - 1.0) / z
+            if term < 1e-15:
+                break
+    else:
+        total = 1.0
+        term = 2.0 * math.exp(-2.0 * z * z)
+        for k in range(1, 101):
+            signed = -term if k % 2 else term
+            total += signed
+            if density:
+                slope -= 4.0 * k * k * z * signed
+            nxt = k + 1
+            term = 2.0 * math.exp(-2.0 * nxt * nxt * z * z)
+            if term < 1e-15:
+                break
+    cdf = min(max(total, 0.0), 1.0)
+    return (cdf, slope) if density else cdf
+
+
+def written_out_grid():
+    """Seeded points of [0, 6) and the edges of the series' branches, with
+    their neighbours."""
+    edges = [0.04, 0.5, 6.0]
+    edges += [math.nextafter(e, d) for e in edges for d in (0.0, math.inf)]
+    return np.random.default_rng(23).uniform(0.0, 6.0, 100_000).tolist() + edges
+
+
 class TestCdf:
     def test_golden_values(self):
         assert bridge_sup_cdf(1.225) == pytest.approx(0.9005625, abs=1e-6)
@@ -70,42 +111,7 @@ class TestCdf:
             assert bridge_sup_cdf(z).hex() == two_exp_series(z).hex()
 
     def test_same_bits_as_written_out_exponents(self):
-        # The series as written before its coefficients were precomputed:
-        # each exponent multiplied out from k and z in the loop.
-        def written_out(z, density=False):
-            if z < 0.04:
-                return (0.0, 0.0) if density else 0.0
-            slope = 0.0
-            if z < 0.5:
-                factor = math.sqrt(2.0 * math.pi) / z
-                total = 0.0
-                for k in range(1, 101):
-                    exponent = (2 * k - 1) ** 2 * math.pi**2 / (8.0 * z * z)
-                    term = factor * math.exp(-exponent)
-                    total += term
-                    if density:
-                        slope += term * (2.0 * exponent - 1.0) / z
-                    if term < 1e-15:
-                        break
-            else:
-                total = 1.0
-                term = 2.0 * math.exp(-2.0 * z * z)
-                for k in range(1, 101):
-                    signed = -term if k % 2 else term
-                    total += signed
-                    if density:
-                        slope -= 4.0 * k * k * z * signed
-                    nxt = k + 1
-                    term = 2.0 * math.exp(-2.0 * nxt * nxt * z * z)
-                    if term < 1e-15:
-                        break
-            cdf = min(max(total, 0.0), 1.0)
-            return (cdf, slope) if density else cdf
-
-        edges = [0.04, 0.5, 6.0]
-        edges += [math.nextafter(e, d) for e in edges for d in (0.0, math.inf)]
-        grid = np.random.default_rng(23).uniform(0.0, 6.0, 100_000).tolist() + edges
-        for z in grid:
+        for z in written_out_grid():
             assert dist._cdf(z).hex() == written_out(z).hex(), z
             got, expected = dist._cdf(z, density=True), written_out(z, density=True)
             assert [v.hex() for v in got] == [v.hex() for v in expected], z
@@ -145,6 +151,11 @@ class TestPValue:
         with pytest.raises(ValueError):
             p_value(math.nan)
 
+    def test_same_bits_as_clamped_complement(self):
+        # 1 - F clamped to [0, 1] by the builtins, as first written.
+        for z in written_out_grid():
+            assert p_value(z).hex() == min(max(1.0 - written_out(z), 0.0), 1.0).hex(), z
+
 
 class TestQuantile:
     def test_golden_quantiles(self):
@@ -161,6 +172,19 @@ class TestQuantile:
         for p in (0.0, 1.0, -0.5, 1.5):
             with pytest.raises(ValueError):
                 bridge_sup_quantile(p)
+
+    def test_at_most_four_cdf_walks(self, monkeypatch):
+        # The start needs no walk of the series: each walk is a Newton or
+        # bisection step, and a close start leaves few of them.
+        calls = []
+        cdf = dist._cdf
+        monkeypatch.setattr(
+            dist, "_cdf", lambda z, density=False: calls.append(z) or cdf(z, density)
+        )
+        for p in np.random.default_rng(31).uniform(0.05, 0.999, 1000).tolist():
+            calls.clear()
+            bridge_sup_quantile(p)
+            assert len(calls) <= 4, p
 
 
 def bisection_quantile(p):
