@@ -25,24 +25,37 @@ EXIT_USAGE = 2
 EXIT_DATA = 3
 
 PVALUE_FLOOR = 1e-12
-CONFIG_KEYS = ("series", "n", "alpha", "reps", "seed", "workers")  # simulate --config
 
 
-def _format_p(p: float) -> str:
-    return "< 1e-12" if p < PVALUE_FLOOR else f"{p:.7f}"
+def _values(raw: str, convert) -> list:
+    values = [convert(token) for token in raw.replace(",", " ").split()]
+    if not values:
+        raise ValueError("empty list")
+    return values
+
+
+CONFIG_KEYS = {  # simulate --config: key -> parser of its value, which may raise ValueError
+    "series": lambda raw: montecarlo.PRESET_IDS if raw == "all" else _values(raw, int),
+    "n": lambda raw: _values(raw, int),
+    "alpha": lambda raw: _values(raw, float),
+    "reps": int,
+    "seed": int,
+    "workers": int,
+}
 
 
 def cmd_test(args) -> int:
     if not 0.0 < args.alpha < 1.0:  # a usage error, found before the file is read
         raise ValueError(f"alpha must lie in (0, 1), got {args.alpha}")
     values, rows = load_column(args.file, args.column, args.date_column)
-    minimum = 3 if args.kind == "levels" else 2  # 3 prices give 2 returns
-    if len(values) < minimum:
+    # Return t of a levels file is row t + 1 of its data: 3 prices give 2 returns.
+    shift = 1 if args.kind == "levels" else 0
+    if len(values) < 2 + shift:
         raise DataError(
-            f"{args.file}: need at least {minimum} usable rows, got {len(values)}"
+            f"{args.file}: need at least {2 + shift} usable rows, got {len(values)}"
         )
     series = values
-    if args.kind == "levels":
+    if shift:
         if np.any(series <= 0.0):
             bad = int(np.flatnonzero(series <= 0.0)[0])
             raise DataError(
@@ -58,10 +71,8 @@ def cmd_test(args) -> int:
     except core.DegenerateSeriesError as exc:
         raise DataError(f"{args.file}: {exc}") from exc
 
-    # Return t of a levels file is row t + 1 of its data.
-    first_row = 1 if args.kind == "levels" else 0
     break_date = (
-        rows.date(first_row + outcome.break_index - 1)
+        rows.date(shift + outcome.break_index - 1)
         if 0 < outcome.break_index <= len(series)
         else None
     )
@@ -85,11 +96,12 @@ def cmd_test(args) -> int:
         where = f"{outcome.break_index}"
         if break_date:
             where += f" ({break_date})"
+        p_text = f"< {PVALUE_FLOOR:g}" if underflow else f"{outcome.p_value:.7f}"
         print(f"n:           {len(series)}")
         print(f"mean:        {outcome.mu_hat:.10g}")
         print(f"variance:    {outcome.sigma2_hat:.10g}")
         print(f"statistic:   {outcome.statistic:.7f}")
-        print(f"p-value:     {_format_p(outcome.p_value)}")
+        print(f"p-value:     {p_text}")
         print(f"break index: {where}")
         print(f"decision:    {decision} no-change at alpha={outcome.alpha:g}")
     return EXIT_OK
@@ -128,47 +140,28 @@ def _read_config_file(path: str) -> dict[str, tuple[int, str]]:
 
 
 def _config_from_args(args) -> montecarlo.ExperimentConfig:
+    """Each setting from its flag, else from the --config file, else its default."""
     file_opts = _read_config_file(args.config) if args.config else {}
-
-    def pick(flag_value, key, convert, default):
-        if flag_value not in (None, []):
-            return flag_value
-        if key not in file_opts:
-            return default
-        lineno, raw = file_opts[key]
-        try:
-            return convert(raw)
-        except ValueError:
-            raise DataError(f"{args.config}:{lineno}: bad value for {key!r}: {raw!r}") from None
-
-    def tokens(raw: str) -> list[str]:
-        values = raw.replace(",", " ").split()
-        if not values:
-            raise ValueError("empty list")
-        return values
-
-    def int_list(raw: str) -> list[int]:
-        return [int(tok) for tok in tokens(raw)]
-
-    def float_list(raw: str) -> list[float]:
-        return [float(tok) for tok in tokens(raw)]
-
-    def series_list(raw: str) -> list[int]:
-        return list(montecarlo.PRESET_IDS) if raw == "all" else int_list(raw)
-
-    if args.all:
-        series = list(montecarlo.PRESET_IDS)
-    else:
-        series = pick(args.series, "series", series_list, None)
-    if not series:
+    if args.series is None and "series" not in file_opts:
         raise ValueError("no series selected: pass --series or --all")
+    settings = {"n": [30, 100, 500, 1000], "alpha": [0.01, 0.05, 0.10],
+                "reps": 1000, "seed": 0, "workers": usable_cpus()}
+    for key, parse in CONFIG_KEYS.items():
+        if (flag := getattr(args, key)) is not None:
+            settings[key] = flag
+        elif key in file_opts:
+            line, raw = file_opts[key]
+            try:
+                settings[key] = parse(raw)
+            except ValueError:
+                raise DataError(f"{args.config}:{line}: bad value for {key!r}: {raw!r}") from None
     return montecarlo.ExperimentConfig(
-        series=tuple(series),
-        sample_sizes=tuple(pick(args.n, "n", int_list, [30, 100, 500, 1000])),
-        levels=tuple(sorted(pick(args.alpha, "alpha", float_list, [0.01, 0.05, 0.10]))),
-        replications=pick(args.reps, "reps", int, 1000),
-        master_seed=pick(args.seed, "seed", int, 0),
-        workers=pick(args.workers, "workers", int, usable_cpus()),
+        series=tuple(settings["series"]),
+        sample_sizes=tuple(settings["n"]),
+        levels=tuple(sorted(settings["alpha"])),
+        replications=settings["reps"],
+        master_seed=settings["seed"],
+        workers=settings["workers"],
     )
 
 
@@ -245,7 +238,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="run a rejection-frequency experiment")
     which = p_sim.add_mutually_exclusive_group()
     which.add_argument("--series", type=int, action="append", help="preset id 1..9")
-    which.add_argument("--all", action="store_true", help="all nine presets")
+    which.add_argument("--all", dest="series", action="store_const",
+                       const=montecarlo.PRESET_IDS, help="all nine presets")
     p_sim.add_argument("--n", type=int, action="append", help="sample size")
     p_sim.add_argument("--alpha", type=float, action="append", help="significance level")
     p_sim.add_argument("--reps", type=int, default=None)

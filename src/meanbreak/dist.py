@@ -32,8 +32,8 @@ _THETA = [(2 * k - 1) ** 2 * math.pi**2 for k in range(1, _MAX_TERMS + 1)]
 
 
 def bridge_sup_cdf(z: float) -> float:
-    """P(sup |bridge| <= z).  Zero for z < 0.04; clamped to [0, 1]; a nan z
-    raises ``ValueError``."""
+    """P(sup |bridge| <= z).  Zero for z < 0.04; a nan z raises
+    ``ValueError``."""
     z = float(z)
     if math.isnan(z):
         raise ValueError("z must be a number, got nan")
@@ -74,10 +74,7 @@ def _cdf(z: float, density: bool = False):
             term = 2.0 * exp(following * z * z)
             if term < _TRUNCATION_TOLERANCE:
                 break
-    # Comparisons, not min and max: the same float for every total, -0.0 and
-    # nan included, without two builtin calls.
-    cdf = 0.0 if total < 0.0 else 1.0 if total > 1.0 else total
-    return (cdf, slope) if density else cdf
+    return (total, slope) if density else total
 
 
 def p_value(statistic: float) -> float:
@@ -85,8 +82,7 @@ def p_value(statistic: float) -> float:
     statistic = float(statistic)
     if not statistic >= 0.0:  # nan too
         raise ValueError(f"statistic must be nonnegative, got {statistic}")
-    p = 1.0 - _cdf(statistic)
-    return 0.0 if p < 0.0 else 1.0 if p > 1.0 else p
+    return 1.0 - _cdf(statistic)
 
 
 def bridge_sup_quantile(p: float) -> float:

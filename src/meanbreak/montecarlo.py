@@ -19,6 +19,7 @@ import csv
 import io
 import json
 import math
+import operator
 import zlib
 from dataclasses import dataclass, field
 
@@ -89,6 +90,13 @@ def preset(series_id: int) -> tuple[MeanSpec, SigmaSpec]:
     return _MEANS[mean_key], _SIGMAS[sigma_key]
 
 
+def _integer(name: str, value) -> int:
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name}: expected an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Design of a rejection-frequency experiment.
@@ -98,6 +106,10 @@ class ExperimentConfig:
     replications are split into at most :func:`meanbreak.usable_cpus`
     ranges, the first run in the calling process and each other one in a
     forked child, so with one the calling process runs them all.
+
+    Preset ids, sample sizes, ``replications``, ``master_seed`` and
+    ``workers`` are stored as Python ints; any other integer type is
+    converted, and a value that is not an integer raises ``ValueError``.
     """
 
     series: tuple = (1,)
@@ -111,6 +123,15 @@ class ExperimentConfig:
         for name in ("series", "sample_sizes", "levels"):
             if not getattr(self, name):
                 raise ValueError(f"{name} must not be empty")
+        # int() would run a float seed's whole part, and a numpy integer
+        # would reach the JSON output, which cannot hold it.
+        series = tuple(entry if isinstance(entry, (tuple, list)) else _integer("series", entry)
+                       for entry in self.series)
+        object.__setattr__(self, "series", series)
+        sizes = tuple(_integer("sample_sizes", n) for n in self.sample_sizes)
+        object.__setattr__(self, "sample_sizes", sizes)
+        for name in ("replications", "master_seed", "workers"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
         # Replication indices are one 32-bit word of the stream's seed.
         if not 1 <= self.replications <= 2**32:
             raise ValueError("replications must lie in 1..2**32")
@@ -180,15 +201,15 @@ def _rejections(statistic: np.ndarray, alphas: np.ndarray, bands: np.ndarray) ->
     return reject
 
 
-def _range_counts(config: ExperimentConfig, bands: np.ndarray, reps: range) -> list:
-    """Rejection counts per level and the degenerate count of each (series,
-    n) cell of ``config``, in order, over the replications ``reps``.
-    ``bands`` are ``_critical_bands(config.levels)``."""
-    return [_cell_counts(config, bands, reps, *_resolve(entry)[1:], n)
-            for entry in config.series for n in config.sample_sizes]
+def _range_counts(config: ExperimentConfig, bands: np.ndarray, reps: range) -> np.ndarray:
+    """Per (series, n) cell of ``config``, in order, over the replications
+    ``reps``: one int64 row of the rejections per level, then the degenerate
+    count.  ``bands`` are ``_critical_bands(config.levels)``."""
+    return np.array([_cell_counts(config, bands, reps, *_resolve(entry)[1:], n)
+                     for entry in config.series for n in config.sample_sizes])
 
 
-def _cell_counts(config, bands, reps, key, mean_spec, sigma_spec, n) -> tuple[np.ndarray, int]:
+def _cell_counts(config, bands, reps, key, mean_spec, sigma_spec, n) -> np.ndarray:
     """One cell of :func:`_range_counts`, in a call of its own, so that its
     paths are freed before the next cell's are built.
 
@@ -200,16 +221,15 @@ def _cell_counts(config, bands, reps, key, mean_spec, sigma_spec, n) -> tuple[np
     sigma = signals.sigma_path(sigma_spec, n)
     grid = np.arange(1, n + 1) / n
     alphas = np.asarray(config.levels)
-    rejections = np.zeros(len(alphas), dtype=np.int64)
-    degenerate = 0
+    counts = np.zeros(len(alphas) + 1, dtype=np.int64)
     for y in signals.noise_blocks((config.master_seed, key, n), reps, n):
         y *= sigma  # y = mu + sigma * eps, in place
         y += mu
         statistic = core._cusum_sup(y, grid)
         constant = np.isnan(statistic)
-        degenerate += int(constant.sum())
-        rejections += _rejections(statistic[~constant], alphas, bands).sum(axis=0)
-    return rejections, degenerate
+        counts[:-1] += _rejections(statistic[~constant], alphas, bands).sum(axis=0)
+        counts[-1] += constant.sum()
+    return counts
 
 
 def _chunk_bounds(replications: int, workers: int) -> list[range]:
@@ -224,7 +244,7 @@ def run_experiment(config: ExperimentConfig) -> RejectionTable:
     ``config.workers`` and :func:`meanbreak.usable_cpus`, since more
     processes than CPUs would only wait for one.  :func:`meanbreak.fork_map`
     runs the first range in this process and each other one in a forked
-    child; the counts of the ranges are added up.
+    child; the count rows of the ranges are added up.
     """
     ranges = _chunk_bounds(config.replications, min(config.workers, usable_cpus()))
     bands = _critical_bands(config.levels)
@@ -234,10 +254,9 @@ def run_experiment(config: ExperimentConfig) -> RejectionTable:
         replications=config.replications, master_seed=config.master_seed
     )
     cells = [(label, n) for label, *_ in map(_resolve, config.series) for n in config.sample_sizes]
-    for (label, n), *counts in zip(cells, *parts):
-        table.degenerate[(label, n)] = sum(degenerate for _, degenerate in counts)
-        for alpha, count in zip(config.levels, sum(rejections for rejections, _ in counts)):
-            table.cells[(label, n, alpha)] = int(count)
+    for (label, n), (*rejections, degenerate) in zip(cells, sum(parts).tolist()):
+        table.degenerate[(label, n)] = degenerate
+        table.cells.update(zip([(label, n, alpha) for alpha in config.levels], rejections))
     return table
 
 

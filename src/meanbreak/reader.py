@@ -197,9 +197,8 @@ def _read_ranges(path: str, start: int, number: int, comma: bool, col: int):
         nonfinite += [number + line for line in part_nonfinite]
         number += lines
         rows += len(part)
-    reports = [_rows_report("rows failed to parse", bad)] if bad else []
-    if nonfinite:
-        reports.append(_rows_report("rows with non-finite values", nonfinite))
+    reports = [_rows_report(what, numbers) for what, numbers in (
+        ("rows failed to parse", bad), ("rows with non-finite values", nonfinite)) if numbers]
     if reports:
         raise DataError(f"{path}: " + "; ".join(reports))
     return np.concatenate(values), tuple(blocks)

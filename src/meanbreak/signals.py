@@ -10,6 +10,7 @@ for the volatility a general multi-regime blend of transitions.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -335,13 +336,15 @@ def ergodic_variance_limit(spec: SigmaSpec) -> float:
 def gaussian_stream(seed, count: int) -> np.ndarray:
     """Deterministic standard normal variates from a counter-based generator.
 
-    ``seed`` is an integer or a tuple of integers; the same seed yields a
-    bit-identical stream across runs, platforms, and call orders, which makes
-    parallel replication with disjoint derived seeds reproducible.
+    ``seed`` is an integer or a tuple of integers (anything else raises
+    ``TypeError``); the same seed yields a bit-identical stream across runs,
+    platforms, and call orders, which makes parallel replication with
+    disjoint derived seeds reproducible.
     """
     if count < 1:
         raise ValueError("count must be positive")
-    entropy = list(seed) if isinstance(seed, (tuple, list)) else [int(seed)]
+    seeds = seed if isinstance(seed, (tuple, list)) else [seed]
+    entropy = [operator.index(v) for v in seeds]
     bit_gen = np.random.Philox(np.random.SeedSequence(entropy))
     return np.random.Generator(bit_gen).standard_normal(count)
 
@@ -359,7 +362,9 @@ _XSHIFT = np.uint32(16)
 
 def _uint32_words(value: int) -> list[int]:
     """Little-endian 32-bit words of a nonnegative integer, as SeedSequence
-    splits entropy: 0 is one word, 2**32 two."""
+    splits entropy: 0 is one word, 2**32 two.  A value that is not an
+    integer raises ``TypeError``, as in :func:`gaussian_stream`."""
+    value = operator.index(value)
     if value < 0:
         raise ValueError(f"seed entries must be nonnegative, got {value}")
     words = [value & _MASK32]
@@ -397,7 +402,7 @@ def _philox_keys(prefix, reps) -> np.ndarray:
     r = np.asarray(reps, dtype=np.int64)
     if r.size and (r.min() < 0 or r.max() > _MASK32):
         raise ValueError("replication indices must lie in [0, 2**32)")
-    entropy = [np.full(r.shape, w, np.uint32) for v in prefix for w in _uint32_words(int(v))]
+    entropy = [np.full(r.shape, w, np.uint32) for v in prefix for w in _uint32_words(v)]
     entropy.append(r.astype(np.uint32))
     hashmix = _hasher(_INIT_A, _MULT_A)
 

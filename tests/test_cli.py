@@ -311,6 +311,44 @@ class TestCmdTest:
                            f"at file offset {offset} (line {line}): invalid start byte\n")
         assert (code, out, err) == (expected[0], "", expected[1])
 
+    def test_text_report_names_the_break_date(self, tmp_path, capsys):
+        f = tmp_path / "r.csv"
+        f.write_text("date,y\n" + "".join(f"d{k},{int(k > 5)}\n" for k in range(1, 11)))
+        code, out, err = run_cli(capsys, "test", str(f), "--column", "y", "--date-column", "date")
+        assert (code, err) == (0, "")
+        assert out == (  # the statistic is sqrt(2.5)
+            "n:           10\n"
+            "mean:        0.5\n"
+            "variance:    0.25\n"
+            "statistic:   1.5811388\n"
+            "p-value:     0.0134759\n"
+            "break index: 5 (d5)\n"
+            "decision:    reject no-change at alpha=0.05\n"
+        )
+
+    @pytest.mark.parametrize("change, reason", [
+        ("remove", "[Errno 2] No such file or directory: {path!r}"),
+        ("rewrite", "'utf-8' codec can't decode byte 0xff at file offset 12 (line 3): "
+                    "invalid start byte"),
+    ])
+    def test_file_changed_before_break_date_lookup(self, tmp_path, capsys, monkeypatch,
+                                                   change, reason):
+        f = tmp_path / "r.csv"
+        f.write_text("date,y\nd1,1\nd2,1\nd3,3\nd4,3\n")
+        test = core.lm_test
+
+        def change_file_then_test(*args, **kwargs):
+            if change == "remove":
+                f.unlink()
+            else:
+                f.write_bytes(b"date,y\nd1,1\n\xff2,1\nd3,3\nd4,3\n")
+            return test(*args, **kwargs)
+
+        monkeypatch.setattr(core, "lm_test", change_file_then_test)
+        code, out, err = run_cli(capsys, "test", str(f), "--column", "y", "--date-column", "date")
+        assert (code, out) == (3, "")
+        assert err == f"error: cannot read {f}: {reason.format(path=str(f))}\n"
+
     def test_too_few_rows(self, tmp_path, capsys):
         f = tmp_path / "r.txt"
         f.write_text("0.5\n")
@@ -691,6 +729,25 @@ class TestCmdSimulate:
         assert lines[0] == "series,n,alpha,rejections,replications,frequency"
         assert len(lines) == 2
         assert lines[1].startswith("Series 1,100,0.05,")
+
+    def test_all_runs_every_preset(self, capsys):
+        code, out, err = run_cli(
+            capsys, "simulate", "--all", "--n", "20", "--alpha", "0.05",
+            "--reps", "30", "--seed", "3", "--workers", "1", "--format", "csv",
+        )
+        assert (code, err) == (0, "")
+        assert out == (
+            "series,n,alpha,rejections,replications,frequency\n"
+            "Series 1,20,0.05,2,30,0.06666666667\n"
+            "Series 2,20,0.05,0,30,0\n"
+            "Series 3,20,0.05,1,30,0.03333333333\n"
+            "Series 4,20,0.05,5,30,0.1666666667\n"
+            "Series 5,20,0.05,10,30,0.3333333333\n"
+            "Series 6,20,0.05,13,30,0.4333333333\n"
+            "Series 7,20,0.05,10,30,0.3333333333\n"
+            "Series 8,20,0.05,9,30,0.3\n"
+            "Series 9,20,0.05,4,30,0.1333333333\n"
+        )
 
     def test_out_file(self, tmp_path, capsys):
         target = tmp_path / "table.csv"

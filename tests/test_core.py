@@ -2,6 +2,8 @@
 
 import hashlib
 import math
+from decimal import Decimal, localcontext
+from fractions import Fraction
 import os
 import subprocess
 import sys
@@ -10,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import meanbreak
@@ -422,3 +424,46 @@ class TestProperties:
         grid = np.arange(1, reps + 1) / reps
         ks = max(np.abs(cdf - grid).max(), np.abs(cdf - (grid - 1.0 / reps)).max())
         assert ks < 0.05
+
+
+def exact_bridge(values):
+    """The squared bridge B(k/n)^2 = (S_k - (k/n) S_n)^2 / (n sigma2_hat), k =
+    0..n, of a nonconstant integer series, as exact fractions."""
+    n = len(values)
+    mean = Fraction(sum(values), n)
+    sigma2 = sum((v - mean) ** 2 for v in values) / n
+    partial = [0]
+    for v in values:
+        partial.append(partial[-1] + v)
+    return [(s - Fraction(k, n) * partial[n]) ** 2 / (n * sigma2) for k, s in enumerate(partial)]
+
+
+def exact_sqrt(square: Fraction) -> Fraction:
+    with localcontext() as context:
+        context.prec = 60
+        return Fraction((Decimal(square.numerator) / Decimal(square.denominator)).sqrt())
+
+
+class TestExactOracle:
+    """Both CUSUM kernels against exact rational arithmetic on small-integer
+    series, whose statistic and break index are known exactly."""
+
+    @given(ys=st.lists(st.integers(min_value=-50, max_value=50), min_size=2, max_size=200)
+           .filter(lambda ys: len(set(ys)) > 1))
+    @example(ys=[1] + [0] * 30)  # the maximum at k = 1
+    @example(ys=[0] * 30 + [1])  # and at k = n - 1
+    @settings(max_examples=200, deadline=None)
+    def test_statistic_and_break_index(self, ys):
+        n = len(ys)
+        squares = exact_bridge(ys)
+        top = max(squares)
+        exact = exact_sqrt(top)
+        ulp = Fraction(math.ulp(float(exact)))
+        outcome = lm_test(np.array(ys, dtype=float))
+        sup = _cusum_sup(np.array([ys], dtype=float), np.arange(1, n + 1) / n)[0]
+        for statistic in (outcome.statistic, sup):
+            assert abs(Fraction(statistic) - exact) <= 2 * n * ulp
+        first = squares.index(top)
+        runner_up = max(square for k, square in enumerate(squares) if k != first)
+        if 1.0 - math.sqrt(runner_up / top) > 1e-12:  # exact ties may go either way
+            assert outcome.break_index == first

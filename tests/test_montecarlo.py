@@ -93,6 +93,37 @@ class TestExperimentConfig:
     def test_largest_replication_count_accepted(self):
         assert ExperimentConfig(replications=2**32).replications == 2**32
 
+    @pytest.mark.parametrize("fields, name", [
+        ({"master_seed": 1.5}, "master_seed"),
+        ({"master_seed": "1"}, "master_seed"),
+        ({"sample_sizes": (30.0,)}, "sample_sizes"),
+        ({"sample_sizes": (30, 100.5)}, "sample_sizes"),
+        ({"replications": 10.0}, "replications"),
+        ({"workers": 1.0}, "workers"),
+        ({"series": (1.0,)}, "series"),
+        ({"series": (np.float64(4.0), 1)}, "series"),
+    ])
+    def test_non_integer_setting_names_its_field(self, fields, name):
+        # int() would run 1.5 as seed 1, and record 1.5 in the JSON output.
+        with pytest.raises(ValueError, match=f"^{name}: expected an integer, got "):
+            ExperimentConfig(**fields)
+
+    def test_numpy_integer_settings_run_as_python_ints(self):
+        numpy_ints = ExperimentConfig(
+            series=(np.int64(1), np.uint8(4)), sample_sizes=(np.int64(30), np.int32(31)),
+            levels=(0.05,), replications=np.int64(10), master_seed=np.uint64(2**40),
+            workers=np.int16(1),
+        )
+        python_ints = ExperimentConfig(series=(1, 4), sample_sizes=(30, 31), levels=(0.05,),
+                                       replications=10, master_seed=2**40, workers=1)
+        assert numpy_ints == python_ints
+        for name in ("replications", "master_seed", "workers"):
+            assert type(getattr(numpy_ints, name)) is int
+        assert all(type(v) is int for v in numpy_ints.series + numpy_ints.sample_sizes)
+        for format in ("json", "csv", "text"):
+            assert (emit_table(run_experiment(numpy_ints), format)
+                    == emit_table(run_experiment(python_ints), format))
+
 
 SMALL = ExperimentConfig(
     series=(1, 4),
@@ -423,6 +454,43 @@ class TestEmitTable:
         doc = emit_table(table, "text")
         assert "*" in doc
         assert "degenerate" in doc
+
+    def test_json_lists_degenerate_cells(self):
+        # 1 + 1e-300 * eps rounds to 1: every replication is a constant series.
+        flat = ("flat", MeanSpec.constant(1.0), SigmaSpec.constant(1e-300))
+        config = ExperimentConfig(series=(flat, 1), sample_sizes=(30,), levels=(0.05,),
+                                  replications=4)
+        assert emit_table(run_experiment(config), "json") == """\
+{
+  "cells": [
+    {
+      "alpha": 0.05,
+      "frequency": 0.0,
+      "n": 30,
+      "rejections": 0,
+      "replications": 4,
+      "series": "Series 1"
+    },
+    {
+      "alpha": 0.05,
+      "frequency": 0.0,
+      "n": 30,
+      "rejections": 0,
+      "replications": 4,
+      "series": "flat"
+    }
+  ],
+  "degenerate": [
+    {
+      "count": 4,
+      "n": 30,
+      "series": "flat"
+    }
+  ],
+  "master_seed": 0,
+  "replications": 4
+}
+"""
 
     def test_json_round_trip(self):
         table = run_experiment(SMALL)

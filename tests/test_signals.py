@@ -435,6 +435,11 @@ class TestGaussianStream:
         with pytest.raises(ValueError):
             gaussian_stream(0, 0)
 
+    def test_integer_seed(self):
+        np.testing.assert_array_equal(gaussian_stream(np.int64(7), 5), gaussian_stream(7, 5))
+        with pytest.raises(TypeError):
+            gaussian_stream(7.0, 5)
+
 
 class TestBulkStream:
     """The engine's stream: keys derived in bulk, rows filled by one
@@ -467,6 +472,21 @@ class TestBulkStream:
     def test_negative_prefix_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
             signals._philox_keys((-1, 1, 30), [0])
+
+    @pytest.mark.parametrize("entry", [1.5, np.float64(2.0), "1"])
+    def test_non_integer_prefix_raises_as_gaussian_stream(self, entry):
+        # int() would read 1.5 as seed 1 and run its stream.
+        with pytest.raises(TypeError):
+            gaussian_stream((entry, 2, 30, 0), 3)
+        with pytest.raises(TypeError):
+            list(signals.noise_blocks((entry, 2, 30), range(1), 3))
+
+    def test_numpy_integer_prefix(self):
+        prefix = (np.uint64(2**40 + 1), np.int32(2), np.int64(30))
+        (block,) = signals.noise_blocks(prefix, range(2), 3)
+        for r, row in enumerate(block):
+            np.testing.assert_array_equal(row, gaussian_stream((*prefix, r), 3))
+            np.testing.assert_array_equal(row, gaussian_stream((2**40 + 1, 2, 30, r), 3))
 
     @pytest.mark.parametrize("n", [2, 30, 2**14 + 1])
     def test_rows_equal_gaussian_stream(self, monkeypatch, n):
