@@ -10,6 +10,7 @@ the plain form would need hundreds of terms.
 from __future__ import annotations
 
 import math
+import sys
 from math import exp
 
 __all__ = ["bridge_sup_cdf", "p_value", "bridge_sup_quantile"]
@@ -29,6 +30,8 @@ _CDF_ZERO_BELOW = 0.04
 # the stopping check.
 _ALTERNATING = [(k, 4.0 * k * k, -2.0 * (k + 1) ** 2) for k in range(1, _MAX_TERMS + 1)]
 _THETA = [(2 * k - 1) ** 2 * math.pi**2 for k in range(1, _MAX_TERMS + 1)]
+# Below this p (the smallest normal float) F resolves few bits of p.
+_SMALLEST_NORMAL = sys.float_info.min
 
 
 def bridge_sup_cdf(z: float) -> float:
@@ -102,7 +105,10 @@ def bridge_sup_quantile(p: float) -> float:
     A step that would leave the bracket, or that does not halve the step
     before the last one, is replaced by bisection: in the convex lower tail,
     where F ~ exp(-pi^2 / (8 z^2)), plain Newton crawls.  Stops at a zero
-    residual or a step below 1e-14.
+    residual or a step below 1e-14.  At a subnormal p, F resolves so few bits
+    that the steps stop halving and would bisect the bracket down to 1e-14,
+    so there it also stops once |F(z) - p| stops falling, at the z of the
+    least |F(z) - p| seen.
     """
     p = float(p)
     if not 0.0 < p < 1.0:
@@ -118,11 +124,16 @@ def bridge_sup_quantile(p: float) -> float:
             w -= (w - 0.5 * math.log(w) - c) / (1.0 - 0.5 / w)
         z = math.pi / math.sqrt(8.0 * w)
     step = before = hi - lo
+    least, best = math.inf, z  # |F(z) - p| and its z, kept at a subnormal p
     for _ in range(200):
         cdf, slope = _cdf(z, density=True)
         residual = cdf - p
         if residual == 0.0:
             return z
+        if p < _SMALLEST_NORMAL:
+            if abs(residual) >= least:
+                return best
+            least, best = abs(residual), z
         if residual < 0.0:
             lo = z
         else:

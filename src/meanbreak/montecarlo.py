@@ -19,6 +19,7 @@ import csv
 import io
 import json
 import math
+import numbers
 import operator
 import zlib
 from dataclasses import dataclass, field
@@ -97,6 +98,12 @@ def _integer(name: str, value) -> int:
         raise ValueError(f"{name}: expected an integer, got {value!r}") from None
 
 
+def _real(name: str, value) -> float:
+    if not isinstance(value, numbers.Real):
+        raise ValueError(f"{name}: expected a real number, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Design of a rejection-frequency experiment.
@@ -110,6 +117,7 @@ class ExperimentConfig:
     Preset ids, sample sizes, ``replications``, ``master_seed`` and
     ``workers`` are stored as Python ints; any other integer type is
     converted, and a value that is not an integer raises ``ValueError``.
+    Levels are stored as Python floats in the same way, from any real number.
     """
 
     series: tuple = (1,)
@@ -123,13 +131,14 @@ class ExperimentConfig:
         for name in ("series", "sample_sizes", "levels"):
             if not getattr(self, name):
                 raise ValueError(f"{name} must not be empty")
-        # int() would run a float seed's whole part, and a numpy integer
+        # int() would run a float seed's whole part, and a numpy number
         # would reach the JSON output, which cannot hold it.
         series = tuple(entry if isinstance(entry, (tuple, list)) else _integer("series", entry)
                        for entry in self.series)
         object.__setattr__(self, "series", series)
         sizes = tuple(_integer("sample_sizes", n) for n in self.sample_sizes)
         object.__setattr__(self, "sample_sizes", sizes)
+        object.__setattr__(self, "levels", tuple(_real("levels", a) for a in self.levels))
         for name in ("replications", "master_seed", "workers"):
             object.__setattr__(self, name, _integer(name, getattr(self, name)))
         # Replication indices are one 32-bit word of the stream's seed.
@@ -202,24 +211,40 @@ def _rejections(statistic: np.ndarray, alphas: np.ndarray, bands: np.ndarray) ->
 
 
 def _range_counts(config: ExperimentConfig, bands: np.ndarray, reps: range) -> np.ndarray:
-    """Per (series, n) cell of ``config``, in order, over the replications
+    """Per (n, series) cell of ``config``, n-major, over the replications
     ``reps``: one int64 row of the rejections per level, then the degenerate
     count.  ``bands`` are ``_critical_bands(config.levels)``."""
-    return np.array([_cell_counts(config, bands, reps, *_resolve(entry)[1:], n)
-                     for entry in config.series for n in config.sample_sizes])
+    series = [_resolve(entry)[1:] for entry in config.series]
+    return np.concatenate([_size_counts(config, bands, reps, series, n)
+                           for n in config.sample_sizes])
 
 
-def _cell_counts(config, bands, reps, key, mean_spec, sigma_spec, n) -> np.ndarray:
-    """One cell of :func:`_range_counts`, in a call of its own, so that its
-    paths are freed before the next cell's are built.
+def _size_counts(config, bands, reps, series, n) -> np.ndarray:
+    """The rows of :func:`_range_counts` at sample size n, in a call of its
+    own, so that its paths are freed before the next size's are built.
+
+    Each distinct spec of the (key, MeanSpec, SigmaSpec) ``series`` is built
+    once for all of its cells: ``signals.mean_path(spec, n)``, or for a
+    constant spec its level as a Python float, which broadcasts to the bits
+    of the full path.
+    """
+    paths = {spec: float(spec.levels[0]) if spec.variant == "constant"
+             else signals.mean_path(spec, n)
+             for spec in dict.fromkeys(spec for _, *specs in series for spec in specs)}
+    grid = np.arange(1, n + 1) / n
+    return np.array([_cell_counts(config, bands, reps, key, paths[mean], paths[sigma], grid)
+                     for key, mean, sigma in series])
+
+
+def _cell_counts(config, bands, reps, key, mu, sigma, grid) -> np.ndarray:
+    """One (series, n) cell of :func:`_size_counts`, with its mean and
+    volatility paths ``mu`` and ``sigma`` and the k/n ``grid`` at n.
 
     Replication r is ``generate_series`` with seed (master_seed, key, n, r);
     each block of ``signals.noise_blocks`` goes through the CUSUM kernel
     at once, so results do not depend on how the replications are split.
     """
-    mu = signals.mean_path(mean_spec, n)
-    sigma = signals.sigma_path(sigma_spec, n)
-    grid = np.arange(1, n + 1) / n
+    n = len(grid)
     alphas = np.asarray(config.levels)
     counts = np.zeros(len(alphas) + 1, dtype=np.int64)
     for y in signals.noise_blocks((config.master_seed, key, n), reps, n):
@@ -253,7 +278,7 @@ def run_experiment(config: ExperimentConfig) -> RejectionTable:
     table = RejectionTable(
         replications=config.replications, master_seed=config.master_seed
     )
-    cells = [(label, n) for label, *_ in map(_resolve, config.series) for n in config.sample_sizes]
+    cells = [(label, n) for n in config.sample_sizes for label, *_ in map(_resolve, config.series)]
     for (label, n), (*rejections, degenerate) in zip(cells, sum(parts).tolist()):
         table.degenerate[(label, n)] = degenerate
         table.cells.update(zip([(label, n, alpha) for alpha in config.levels], rejections))

@@ -88,7 +88,8 @@ def transition(spec: TransitionSpec, x):
             e = np.fromiter(map(math.exp, w), np.float64, len(w))
         except OverflowError:
             e = np.fromiter(map(_exp_or_inf, w), np.float64, len(w))
-        out = (1.0 / (1.0 + e)).reshape(arr.shape)
+        e += 1.0  # 1 / (1 + e) in place: no further path-sized array
+        out = np.divide(1.0, e, out=e).reshape(arr.shape)
     else:
         out = -np.expm1(-spec.gamma * (arr - spec.tau1) ** 2)
     return float(out) if np.isscalar(x) else out

@@ -245,6 +245,22 @@ class TestQuantileContract:
         assert 0.04 < q < 5.0
         assert abs(cdf(q) - p) <= 1e-14
 
+    # |F(q) - p| where the search bisected its bracket down to a 1e-14 step,
+    # in up to 62 walks of the series.
+    BISECTED_RESIDUALS = {5e-324: 5e-324, 1e-323: 2.96e-322, 1e-320: 2.87e-322,
+                          1e-318: 4.4e-323, 1e-315: 1.2e-322}
+
+    @pytest.mark.parametrize("p", sorted(BISECTED_RESIDUALS))
+    def test_subnormal_stops_once_residual_stalls(self, monkeypatch, p):
+        calls = []
+        cdf = dist._cdf
+        monkeypatch.setattr(
+            dist, "_cdf", lambda z, density=False: calls.append(z) or cdf(z, density)
+        )
+        q = bridge_sup_quantile(p)
+        assert len(calls) <= 4
+        assert abs(cdf(q) - p) <= self.BISECTED_RESIDUALS[p]
+
     def test_pdf_is_derivative_of_cdf(self):
         grid = np.concatenate((np.linspace(0.045, 3.0, 400), [0.4999, 0.5, 0.5001]))
         for z in grid.tolist():

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from meanbreak import dist, montecarlo, signals
+from meanbreak import core, dist, montecarlo, signals
 from meanbreak.core import DegenerateSeriesError, lm_test
 from meanbreak.montecarlo import (
     ExperimentConfig,
@@ -123,6 +123,23 @@ class TestExperimentConfig:
         for format in ("json", "csv", "text"):
             assert (emit_table(run_experiment(numpy_ints), format)
                     == emit_table(run_experiment(python_ints), format))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_numpy_float_levels_run_as_python_floats(self, dtype):
+        # A numpy float in the table would make the JSON output raise.
+        numpy_levels = tuple(dtype(a) for a in (0.01, 0.05, 0.1))
+        configs = [ExperimentConfig(series=(1, 4), sample_sizes=(30,), levels=levels,
+                                    replications=10, master_seed=3)
+                   for levels in (numpy_levels, tuple(float(a) for a in numpy_levels))]
+        assert all(type(a) is float for a in configs[0].levels)
+        for format in ("json", "csv"):
+            numpy_table, python_table = (emit_table(run_experiment(c), format) for c in configs)
+            assert numpy_table == python_table
+
+    @pytest.mark.parametrize("levels", [("0.05",), (0.01, "0.05"), (0.05j,)])
+    def test_non_real_level_names_its_field(self, levels):
+        with pytest.raises(ValueError, match="^levels: expected a real number, got "):
+            ExperimentConfig(levels=levels)
 
 
 SMALL = ExperimentConfig(
@@ -372,6 +389,43 @@ class TestBatchedEngine:
         table = run_experiment(config)
         assert table.degenerate == {("flat", 30): 20, ("Series 1", 30): 0}
         assert all(table.cells[("flat", 30, alpha)] == 0 for alpha in config.levels)
+
+
+class TestPathTable:
+    def test_each_distinct_path_built_once_per_size(self, monkeypatch):
+        built = []
+        mean_path = signals.mean_path
+        for name in ("mean_path", "sigma_path"):
+            monkeypatch.setattr(signals, name,
+                                lambda spec, n: built.append((spec, n)) or mean_path(spec, n))
+        config = ExperimentConfig(series=tuple(range(1, 10)), sample_sizes=(30, 100),
+                                  replications=5, workers=1)
+        run_experiment(config)
+        specs = {spec for series_id in range(1, 10) for spec in preset(series_id)}
+        varying = [spec for spec in specs if spec.variant != "constant"]
+        assert len(varying) == 4
+        assert sorted(built, key=repr) == sorted(
+            [(spec, n) for spec in varying for n in config.sample_sizes], key=repr)
+
+    def test_constant_level_matches_its_full_path(self, monkeypatch):
+        # A constant path is applied as a scalar level; a step path with
+        # equal levels is a full array of the same values.  The statistic
+        # barely moves with the level, so its bits are compared as well.
+        designs = [("level", MeanSpec.constant(-3.5), SigmaSpec.constant(2.5)),
+                   ("level", MeanSpec.step((-3.5, -3.5), (0.5,)),
+                    SigmaSpec.step((2.5, 2.5), (0.5,)))]
+        cusum_sup = core._cusum_sup
+
+        def run(design):
+            statistics = []
+            monkeypatch.setattr(core, "_cusum_sup", lambda y, grid: statistics.append(
+                cusum_sup(y, grid)) or statistics[-1])
+            table = run_experiment(ExperimentConfig(
+                series=(design,), sample_sizes=(30, 1001), replications=200, master_seed=8))
+            return ([emit_table(table, format) for format in ("csv", "json")],
+                    [statistic.tobytes() for statistic in statistics])
+
+        assert run(designs[0]) == run(designs[1])
 
 
 class TestThresholdTally:
