@@ -82,8 +82,14 @@ def drift_quadrature(spec: TransitionSpec, tau: float) -> float:
 
 
 def _closed_drift(moments, tau1: float, gamma: float, tau: float) -> float:
-    if gamma <= 0.0:
-        raise ValueError("gamma must be positive")
+    """T(tau) from the transition's ``moments``, with the domain checks of
+    ``TransitionSpec`` and ``drift_quadrature``."""
+    if not 0.0 < gamma < math.inf:
+        raise ValueError(f"gamma must be positive and finite, got {gamma}")
+    if not 0.0 < tau1 < 1.0:
+        raise ValueError(f"tau1 must lie in (0, 1), got {tau1}")
+    if not 0.0 <= tau <= 1.0:
+        raise ValueError(f"tau must lie in [0, 1], got {tau}")
     return moments(tau1, gamma, 0.0, tau)[0] - tau * moments(tau1, gamma, 0.0, 1.0)[0]
 
 
@@ -115,6 +121,11 @@ class LimitVariance:
     shift_term: float
 
 
+def _check_sigma_bar2(sigma_bar2: float) -> None:
+    if not 0.0 < sigma_bar2 < math.inf:
+        raise ValueError(f"sigma_bar2 must be finite and positive, got {sigma_bar2}")
+
+
 def limit_variance_abrupt(
     tau1: float, mu1: float, mu2: float, sigma_bar2: float
 ) -> LimitVariance:
@@ -122,8 +133,7 @@ def limit_variance_abrupt(
     mean break at sample fraction tau1."""
     if not 0.0 < tau1 < 1.0:
         raise ValueError(f"tau1 must lie in (0, 1), got {tau1}")
-    if sigma_bar2 <= 0.0:
-        raise ValueError("sigma_bar2 must be positive")
+    _check_sigma_bar2(sigma_bar2)
     shift = tau1 * (1.0 - tau1) * (mu1 - mu2) ** 2
     return LimitVariance(sigma_star2=sigma_bar2 + shift, sigma_bar2=sigma_bar2, shift_term=shift)
 
@@ -133,8 +143,7 @@ def limit_variance_smooth(
 ) -> LimitVariance:
     """sigma*^2 = sigma_bar^2 + (mu2 - mu1)^2 * Var_[0,1](F) for a smooth
     mean transition F."""
-    if sigma_bar2 <= 0.0:
-        raise ValueError("sigma_bar2 must be positive")
+    _check_sigma_bar2(sigma_bar2)
     mean_f, mean_f2 = signals._transition_moments(spec, 0.0, 1.0)
     shift = (mu2 - mu1) ** 2 * max(mean_f2 - mean_f**2, 0.0)
     return LimitVariance(sigma_star2=sigma_bar2 + shift, sigma_bar2=sigma_bar2, shift_term=shift)
@@ -143,8 +152,7 @@ def limit_variance_smooth(
 def wn_path(noise_scaled, sigma_bar2: float) -> np.ndarray:
     """Partial-sum process of sigma_t * eps_t on the grid k/n, normalized by
     sqrt(n * sigma_bar2); entry 0 is 0."""
-    if sigma_bar2 <= 0.0:
-        raise ValueError("sigma_bar2 must be positive")
+    _check_sigma_bar2(sigma_bar2)
     arr = np.asarray(noise_scaled, dtype=np.float64)
     n = arr.size
     out = np.empty(n + 1)

@@ -27,7 +27,7 @@ EXIT_DATA = 3
 PVALUE_FLOOR = 1e-12
 
 
-def _values(raw: str, convert) -> list:
+def _value_list(raw: str, convert) -> list:
     values = [convert(token) for token in raw.replace(",", " ").split()]
     if not values:
         raise ValueError("empty list")
@@ -35,9 +35,9 @@ def _values(raw: str, convert) -> list:
 
 
 CONFIG_KEYS = {  # simulate --config: key -> parser of its value, which may raise ValueError
-    "series": lambda raw: montecarlo.PRESET_IDS if raw == "all" else _values(raw, int),
-    "n": lambda raw: _values(raw, int),
-    "alpha": lambda raw: _values(raw, float),
+    "series": lambda raw: montecarlo.PRESET_IDS if raw == "all" else _value_list(raw, int),
+    "n": lambda raw: _value_list(raw, int),
+    "alpha": lambda raw: _value_list(raw, float),
     "reps": int,
     "seed": int,
     "workers": int,

@@ -183,6 +183,10 @@ def _resolve(entry) -> tuple[str, int, MeanSpec, SigmaSpec]:
     if isinstance(entry, int):
         mean_spec, sigma_spec = preset(entry)
         return f"Series {entry}", entry, mean_spec, sigma_spec
+    if not (len(entry) == 3 and isinstance(entry[1], MeanSpec)
+            and isinstance(entry[2], SigmaSpec)):
+        raise ValueError(f"series: expected a preset id or a (label, MeanSpec, SigmaSpec)"
+                         f" triple, got {entry!r}")
     label, mean_spec, sigma_spec = entry
     key = zlib.crc32(str(label).encode("utf-8"))
     return str(label), key, mean_spec, sigma_spec

@@ -3,15 +3,14 @@ Gaussian series synthesis.
 
 A series is y_t = mu_t + sigma_t * eps_t with eps_t ~ N(0, 1).  Both paths
 are deterministic functions of t/n: constant, step (abrupt regime changes at
-given sample fractions), smooth (logistic or exponential transition), and
-for the volatility a general multi-regime blend of transitions.
+given sample fractions) or smooth (logistic or exponential transition).
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,8 +49,8 @@ class TransitionSpec:
             raise ValueError(f"unknown transition family {self.family!r}")
         if not 0.0 < self.tau1 < 1.0:
             raise ValueError(f"tau1 must lie in (0, 1), got {self.tau1}")
-        if not self.gamma > 0.0:
-            raise ValueError(f"gamma must be positive, got {self.gamma}")
+        if not 0.0 < self.gamma < math.inf:
+            raise ValueError(f"gamma must be positive and finite, got {self.gamma}")
         # Stored as Python floats: a spec is a memo key in asymptotics, so it
         # must hash (a 0-d array would not), and equal specs must compute
         # the same bits.
@@ -95,21 +94,10 @@ def transition(spec: TransitionSpec, x):
     return float(out) if np.isscalar(x) else out
 
 
-def _check_fractions(fractions: tuple[float, ...], what: str) -> None:
-    prev = 0.0
-    for f in fractions:
-        if not prev < f < 1.0:
-            raise ValueError(
-                f"{what} must be strictly increasing within (0, 1), got {fractions}"
-            )
-        prev = f
-
-
 @dataclass(frozen=True)
 class _PathSpec:
     """Deterministic path of the sample fraction: constant, step with levels
-    at given fractions, a smooth two-regime transition, or (volatility only)
-    a multi-regime blend of transitions between m + 1 levels."""
+    at given fractions, or a smooth two-regime transition."""
 
     variant: str
     levels: tuple[float, ...]
@@ -122,7 +110,7 @@ class _PathSpec:
                 raise ValueError("volatility levels must be finite and strictly positive")
         elif any(not math.isfinite(v) for v in self.levels):
             raise ValueError("levels must be finite")
-        if self.variant not in self._variants:
+        if self.variant not in ("constant", "step", "smooth"):
             raise ValueError(f"unknown {self._kind} variant {self.variant!r}")
         if self.variant == "constant":
             if len(self.levels) != 1:
@@ -130,19 +118,12 @@ class _PathSpec:
         elif self.variant == "step":
             if len(self.levels) != len(self.fractions) + 1:
                 raise ValueError("step variant needs len(levels) == len(fractions) + 1")
-            _check_fractions(self.fractions, "step fractions")
-        elif self.variant == "smooth":
-            if len(self.levels) != 2 or self.transition is None:
-                raise ValueError("smooth variant needs two levels and a transition")
-        else:  # multi_regime, whose fields only SigmaSpec declares
-            m = len(self.locations)
-            if m < 1 or len(self.levels) != m + 1:
-                raise ValueError("multi_regime needs m locations and m + 1 levels")
-            if len(self.scales) != m or len(self.transitions) != m:
-                raise ValueError("multi_regime needs m scales and m transitions")
-            _check_fractions(self.locations, "regime locations")
-            if any(s <= 0.0 for s in self.scales):
-                raise ValueError("regime scales must be positive")
+            edges = (0.0, *self.fractions, 1.0)
+            if not all(a < b for a, b in zip(edges, edges[1:])):
+                raise ValueError("step fractions must be strictly increasing within (0, 1),"
+                                 f" got {self.fractions}")
+        elif len(self.levels) != 2 or self.transition is None:
+            raise ValueError("smooth variant needs two levels and a transition")
 
     @classmethod
     def step(cls, levels, fractions):
@@ -166,90 +147,45 @@ class MeanSpec(_PathSpec):
 
     _kind = "mean"
     _positive = False
-    _variants = ("constant", "step", "smooth")
 
     @classmethod
     def constant(cls, mu: float) -> "MeanSpec":
         return cls(variant="constant", levels=(float(mu),))
 
 
-@dataclass(frozen=True)
 class SigmaSpec(_PathSpec):
-    """Volatility path: constant, step, smooth, or multi-regime; levels are
-    strictly positive."""
+    """Volatility path: constant, step, or smooth; levels are strictly
+    positive."""
 
     _kind = "sigma"
     _positive = True
-    _variants = ("constant", "step", "smooth", "multi_regime")
-    locations: tuple[float, ...] = ()
-    scales: tuple[float, ...] = ()
-    transitions: tuple[TransitionSpec, ...] = field(default=())
 
     @classmethod
     def constant(cls, sigma: float) -> "SigmaSpec":
         return cls(variant="constant", levels=(float(sigma),))
 
-    @classmethod
-    def multi_regime(cls, levels, locations, scales, transitions) -> "SigmaSpec":
-        return cls(
-            variant="multi_regime",
-            levels=tuple(float(v) for v in levels),
-            locations=tuple(float(v) for v in locations),
-            scales=tuple(float(v) for v in scales),
-            transitions=tuple(transitions),
-        )
-
-
-def _values(spec: _PathSpec, x: np.ndarray, edges, at) -> np.ndarray:
-    """Path values at the sample fractions ``x``; a step path takes level j
-    where ``at`` exceeds j of its break ``edges`` (an edge closes a regime)."""
-    if spec.variant == "constant":
-        return np.full(x.shape, spec.levels[0])
-    if spec.variant == "step":
-        idx = np.searchsorted(edges, at, side="left")
-        return np.asarray(spec.levels, dtype=np.float64)[idx]
-    if spec.variant == "smooth":
-        lo, hi = spec.levels
-        return lo + (hi - lo) * transition(spec.transition, x)
-    return _multi_regime_values(spec, x)
-
 
 def mean_path(spec: _PathSpec, n: int) -> np.ndarray:
     """Mean or volatility (``sigma_path`` is this function) at t = 1..n; step
     boundaries follow the integer-part convention, smooth paths evaluate the
-    transition at x = t/n (right endpoint included)."""
+    transition at x = t/n (right endpoint included).  ``n`` is an integer
+    (anything else raises ``TypeError``)."""
+    n = operator.index(n)
     if n < 1:
         raise ValueError("n must be positive")
-    t = np.arange(1, n + 1)
-    # Integer part [fraction * n], nudged so that e.g. (2/3) * 3 floors to 2.
-    breaks = np.floor(np.asarray(spec.fractions) * n + _FLOOR_NUDGE).astype(np.int64)
-    return _values(spec, t / n, breaks, t)
+    if spec.variant == "constant":
+        return np.full(n, spec.levels[0])
+    if spec.variant == "step":
+        # Level j where t exceeds j of the integer parts [fraction * n] (a
+        # break closes a regime), nudged so that e.g. (2/3) * 3 floors to 2.
+        breaks = np.floor(np.asarray(spec.fractions) * n + _FLOOR_NUDGE).astype(np.int64)
+        idx = np.searchsorted(breaks, np.arange(1, n + 1), side="left")
+        return np.asarray(spec.levels, dtype=np.float64)[idx]
+    lo, hi = spec.levels
+    return lo + (hi - lo) * transition(spec.transition, np.arange(1, n + 1) / n)
 
 
 sigma_path = mean_path
-
-
-def _multi_regime_values(spec: SigmaSpec, x: np.ndarray) -> np.ndarray:
-    # Regime-local evaluation: each point is blended by the transition whose
-    # location is nearest (boundaries at midpoints between locations); away
-    # from its location every other transition is saturated at 0 or 1, so
-    # this agrees with the telescoped multi-regime formula for
-    # non-overlapping transitions without double-counting interior levels.
-    locs = np.asarray(spec.locations)
-    if locs.size == 1:
-        active = np.zeros(x.shape, dtype=np.int64)
-    else:
-        mids = 0.5 * (locs[:-1] + locs[1:])
-        active = np.searchsorted(mids, x, side="left")
-    out = np.empty(x.shape)
-    for j in range(locs.size):
-        mask = active == j
-        if not np.any(mask):
-            continue
-        z = (x[mask] - locs[j]) / spec.scales[j]
-        f = transition(spec.transitions[j], z)
-        out[mask] = spec.levels[j] * (1.0 - f) + spec.levels[j + 1] * f
-    return out
 
 
 def _logistic_moments(tau1: float, gamma: float, a: float, b: float):
@@ -286,21 +222,14 @@ def _transition_moments(spec: TransitionSpec, a: float, b: float):
     return moments(spec.tau1, spec.gamma, a, b)
 
 
-def _blend_square_integral(lo: float, hi: float, spec: TransitionSpec, a: float, b: float):
-    """int_a^b (lo + (hi - lo) F)^2 for the transition F of ``spec``."""
-    m1, m2 = _transition_moments(spec, a, b)
-    d = hi - lo
-    return lo * lo * (b - a) + 2.0 * lo * d * m1 + d * d * m2
-
-
 def partial_variance_limit(spec: SigmaSpec, tau: float) -> float:
     """Limit of (1/n) sum_{t <= n tau} sigma_t^2, i.e. int_0^tau sigma(x)^2 dx.
 
     Normalized by the full ergodic variance this is the limiting variance of
     the partial-sum process at sample fraction tau; it reduces to tau *
     sigma^2 for a constant volatility path.  Closed form for every variant:
-    a smooth or multi-regime path squares to a*a + 2ab F + b*b F^2 on each
-    piece, whose integrals ``_transition_moments`` gives.
+    a smooth path from lo to hi squares to lo^2 + 2 lo d F + d^2 F^2 with d
+    = hi - lo, whose integrals ``_transition_moments`` gives.
     """
     tau = float(tau)
     if not 0.0 <= tau <= 1.0:
@@ -312,21 +241,10 @@ def partial_variance_limit(spec: SigmaSpec, tau: float) -> float:
         levels2 = np.square(np.asarray(spec.levels))
         widths = np.minimum(edges[1:], tau) - np.minimum(edges[:-1], tau)
         return float(widths @ levels2)
-    if spec.variant == "smooth":
-        return _blend_square_integral(*spec.levels, spec.transition, 0.0, tau)
-    # Multi-regime: between the midpoints around location j (the pieces of
-    # _multi_regime_values) the path is transition j of (x - loc) / scale.
-    locs = spec.locations
-    edges = (0.0, *(0.5 * (p + q) for p, q in zip(locs, locs[1:])), 1.0)
-    total = 0.0
-    for j, (loc, scale, shape) in enumerate(zip(locs, spec.scales, spec.transitions)):
-        lo, hi = edges[j], min(edges[j + 1], tau)
-        if hi <= lo:
-            break
-        total += scale * _blend_square_integral(
-            spec.levels[j], spec.levels[j + 1], shape, (lo - loc) / scale, (hi - loc) / scale
-        )
-    return total
+    m1, m2 = _transition_moments(spec.transition, 0.0, tau)
+    lo, hi = spec.levels
+    d = hi - lo
+    return lo * lo * tau + 2.0 * lo * d * m1 + d * d * m2
 
 
 def ergodic_variance_limit(spec: SigmaSpec) -> float:

@@ -123,6 +123,27 @@ class TestClosedForms:
         with pytest.raises(ValueError):
             drift_closed_exponential(0.5, -1.0, 0.5)
 
+    @pytest.mark.parametrize("gamma", [math.inf, math.nan])
+    @pytest.mark.parametrize("closed", [drift_closed_logistic, drift_closed_exponential])
+    def test_non_finite_gamma_rejected(self, closed, gamma):
+        # Unchecked, an infinite slope gives nan (logistic) or 0 (exponential).
+        with pytest.raises(ValueError, match="gamma must be positive and finite"):
+            closed(0.5, gamma, 0.3)
+
+    @pytest.mark.parametrize("tau", [-0.1, 1.5, math.nan])
+    @pytest.mark.parametrize("closed", [drift_closed_logistic, drift_closed_exponential])
+    def test_tau_domain(self, closed, tau):
+        # As in drift_quadrature; unchecked, tau = 1.5 gives 0.2493 (logistic).
+        with pytest.raises(ValueError, match=r"tau must lie in \[0, 1\]"):
+            closed(0.5, 10.0, tau)
+
+    @pytest.mark.parametrize("tau1", [0.0, 1.0, 1.5, math.nan])
+    @pytest.mark.parametrize("closed", [drift_closed_logistic, drift_closed_exponential])
+    def test_tau1_domain(self, closed, tau1):
+        # As in TransitionSpec; unchecked, tau1 = 1.5 gives -0.00033 (logistic).
+        with pytest.raises(ValueError, match=r"tau1 must lie in \(0, 1\)"):
+            closed(tau1, 10.0, 0.3)
+
     @pytest.mark.parametrize("gamma", GAMMAS)
     @pytest.mark.parametrize("family", ["logistic", "exponential"])
     def test_drift_against_referees(self, family, gamma):
@@ -229,6 +250,17 @@ class TestLimitVariances:
         with pytest.raises(ValueError):
             limit_variance_abrupt(0.5, 1.0, 2.0, 0.0)
 
+    @pytest.mark.parametrize("sigma_bar2", [math.nan, math.inf, -math.inf])
+    def test_abrupt_non_finite_sigma_bar2_rejected(self, sigma_bar2):
+        with pytest.raises(ValueError, match="sigma_bar2 must be finite and positive"):
+            limit_variance_abrupt(0.5, 1.0, 2.0, sigma_bar2)
+
+    @pytest.mark.parametrize("sigma_bar2", [math.nan, math.inf, -math.inf])
+    def test_smooth_non_finite_sigma_bar2_rejected(self, sigma_bar2):
+        spec = TransitionSpec("logistic", 0.5, 20.0)
+        with pytest.raises(ValueError, match="sigma_bar2 must be finite and positive"):
+            limit_variance_smooth(spec, 1.0, 2.0, sigma_bar2)
+
 
 class TestPartialVarianceLimit:
     def test_constant(self):
@@ -276,6 +308,12 @@ class TestWnPath:
     def test_domain(self):
         with pytest.raises(ValueError):
             wn_path(np.ones(5), 0.0)
+
+    @pytest.mark.parametrize("sigma_bar2", [math.nan, math.inf])
+    def test_non_finite_sigma_bar2_rejected(self, sigma_bar2):
+        # Unchecked, a nan would make the whole path nan.
+        with pytest.raises(ValueError, match="sigma_bar2 must be finite and positive"):
+            wn_path(np.ones(5), sigma_bar2)
 
     def test_variance_at_half_matches_limit(self):
         # two-regime volatility: var W_n(1/2) converges to the normalized

@@ -987,13 +987,13 @@ class TestImports:
 
     def test_limit_quantities_need_no_scipy(self):
         # With scipy blocked from import: every asymptotics function, the
-        # ergodic variance of all four volatility variants, and `simulate
-        # --diagnostics`, to the same bits as here.
+        # ergodic variance of each volatility variant (smooth with both
+        # transition families), and `simulate --diagnostics`, to the same
+        # bits as here.
         queries = (
             "t = s.TransitionSpec('exponential', 0.3, 50.0)\n"
             "sigmas = [s.SigmaSpec.constant(2.0), montecarlo.preset(2)[1],"
-            " montecarlo.preset(3)[1], s.SigmaSpec.multi_regime((1.0, 2.0, 0.5), (0.3, 0.7),"
-            " (0.05, 0.05), (s.TransitionSpec('logistic', 0.5, 1.0), t))]\n"
+            " montecarlo.preset(3)[1], s.SigmaSpec.smooth(1.0, 0.5, t)]\n"
             "values = [a.drift_quadrature(t, 0.4), a.drift_closed_logistic(0.3, 50.0, 0.4),"
             " a.drift_closed_exponential(0.3, 50.0, 0.4),"
             " a.limit_variance_abrupt(0.3, 1.0, 2.0, 1.0).sigma_star2,"

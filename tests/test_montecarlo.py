@@ -141,6 +141,21 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match="^levels: expected a real number, got "):
             ExperimentConfig(levels=levels)
 
+    @pytest.mark.parametrize("entry", [
+        ("x", MeanSpec.constant(0.0)),
+        ("x", MeanSpec.constant(0.0), SigmaSpec.constant(1.0), 1),
+        ("x", 1.0, 2.0),
+        ("x", MeanSpec.constant(0.0), MeanSpec.constant(-1.0)),
+        ("x", SigmaSpec.constant(1.0), SigmaSpec.constant(1.0)),
+        ["x", MeanSpec.constant(0.0), None],
+    ], ids=["pair", "quadruple", "floats", "mean-as-sigma", "sigma-as-mean", "list"])
+    def test_custom_series_entry_checked(self, entry):
+        # Unchecked, a pair fails to unpack, floats fail only in each forked
+        # range of run_experiment, and a mean spec as sigma runs to a table.
+        with pytest.raises(ValueError, match="^series: expected a preset id or a "
+                                             r"\(label, MeanSpec, SigmaSpec\) triple, got "):
+            ExperimentConfig(series=(1, entry))
+
 
 SMALL = ExperimentConfig(
     series=(1, 4),

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -152,6 +153,12 @@ class TestTransition:
         with pytest.raises(ValueError):
             TransitionSpec("logistic", 0.5, 0.0)
 
+    @pytest.mark.parametrize("gamma", [math.inf, math.nan])
+    def test_non_finite_slope_rejected(self, gamma):
+        # An infinite slope would give nan at x = tau1 (inf * 0) and nan limits.
+        with pytest.raises(ValueError, match="gamma must be positive and finite"):
+            TransitionSpec("logistic", 0.5, gamma)
+
 
 class TestMeanPath:
     def test_constant(self):
@@ -180,6 +187,30 @@ class TestMeanPath:
         with pytest.raises(ValueError):
             mean_path(MeanSpec.constant(1.0), 0)
 
+    @pytest.mark.parametrize("n", [3.5, 4.0, np.float64(4.0)], ids=["3.5", "4.0", "float64"])
+    def test_non_integer_n_rejected(self, n):
+        # np.arange(1, n + 1) would build ceil(n) values for a float n.
+        with pytest.raises(TypeError):
+            mean_path(montecarlo.preset(5)[0], n)
+        with pytest.raises(TypeError):
+            sigma_path(SigmaSpec.constant(1.0), n)
+
+    @pytest.mark.parametrize("spec, arrays", [
+        (MeanSpec.constant(1.5), 1.5),
+        (montecarlo.preset(5)[0], 3.5),
+    ], ids=["constant", "step"])
+    def test_peak_memory(self, spec, arrays):
+        # A constant path is its one array; a step path needs t and the
+        # level index besides, but not the grid t / n.
+        n = 100_000
+        tracemalloc.start()
+        try:
+            mean_path(spec, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < arrays * 8 * n
+
     def test_mean_spec_takes_no_regime_fields(self):
         with pytest.raises(TypeError):
             MeanSpec("constant", (1.0,), locations=(0.5,))
@@ -201,6 +232,16 @@ class TestSigmaPath:
         spec = SigmaSpec.smooth(0.5, 1.5, TransitionSpec("logistic", 2.0 / 3.0, 20.0))
         assert sigma_path(spec, 3)[1] == pytest.approx(1.0, abs=1e-12)
 
+    def test_sigma_spec_has_the_mean_spec_fields(self):
+        # The volatility variants are the mean's: no regime fields of its own.
+        assert not hasattr(SigmaSpec, "multi_regime")
+        with pytest.raises(TypeError):
+            SigmaSpec("constant", (1.0,), locations=(0.5,))
+        with pytest.raises(ValueError, match="unknown sigma variant"):
+            SigmaSpec("multi_regime", (1.0, 2.0))
+        assert repr(SigmaSpec.constant(1.0)) == (
+            "SigmaSpec(variant='constant', levels=(1.0,), fractions=(), transition=None)")
+
     def test_nonpositive_level_rejected(self):
         with pytest.raises(ValueError):
             SigmaSpec.constant(0.0)
@@ -217,35 +258,6 @@ class TestSigmaPath:
         away = np.abs(np.arange(1, n + 1) - break_point) > 1
         np.testing.assert_allclose(smooth[away], step[away], atol=1e-6)
 
-    def test_multi_regime_single_regime_matches_step(self):
-        n = 90
-        spec = SigmaSpec.multi_regime(
-            levels=(0.5, 1.5),
-            locations=(2.0 / 3.0,),
-            scales=(1e-9,),
-            transitions=(TransitionSpec("logistic", 0.5, 1.0),),
-        )
-        step = sigma_path(SigmaSpec.step((0.5, 1.5), (2.0 / 3.0,)), n)
-        path = sigma_path(spec, n)
-        away = np.abs(np.arange(1, n + 1) - 60) > 1
-        np.testing.assert_allclose(path[away], step[away], atol=1e-9)
-
-    def test_multi_regime_three_levels(self):
-        spec = SigmaSpec.multi_regime(
-            levels=(1.0, 2.0, 3.0),
-            locations=(0.3, 0.7),
-            scales=(0.01, 0.01),
-            transitions=(
-                TransitionSpec("logistic", 0.5, 1.0),
-                TransitionSpec("logistic", 0.5, 1.0),
-            ),
-        )
-        n = 10  # x = 0.1 .. 1.0
-        path = sigma_path(spec, n)
-        assert path[0] == pytest.approx(1.0, abs=1e-6)  # x=0.1, regime 1
-        assert path[4] == pytest.approx(2.0, abs=1e-6)  # x=0.5, regime 2
-        assert path[9] == pytest.approx(3.0, abs=1e-6)  # x=1.0, regime 3
-
     # sha256 of the mean and sigma paths of presets 1-9 in turn, recorded when
     # the array logistic called scipy's expit.
     @pytest.mark.parametrize("n, digest", zip(PATH_SIZES, (
@@ -259,38 +271,6 @@ class TestSigmaPath:
             h.update(mean_path(mean, n).tobytes())
             h.update(sigma_path(sigma, n).tobytes())
         assert h.hexdigest()[:16] == digest
-
-    @pytest.mark.parametrize("n", PATH_SIZES)
-    def test_multi_regime_logistic_same_bits_as_expit(self, monkeypatch, n):
-        spec = SigmaSpec.multi_regime(
-            levels=(1.0, 2.5, 0.7),
-            locations=(0.3, 0.7),
-            scales=(0.05, 0.002),
-            transitions=(
-                TransitionSpec("logistic", 0.1, 3.0),
-                TransitionSpec("logistic", 0.6, 40.0),
-            ),
-        )
-        got = sigma_path(spec, n)
-        with monkeypatch.context() as patch:
-            patch.setattr(signals, "transition", lambda shape, z: expit(
-                shape.gamma * (np.asarray(z, dtype=np.float64) - shape.tau1)))
-            want = sigma_path(spec, n)
-        assert [v.hex() for v in got.tolist()] == [v.hex() for v in want.tolist()]
-
-    def test_multi_regime_validation(self):
-        good = dict(
-            levels=(1.0, 2.0),
-            locations=(0.5,),
-            scales=(0.1,),
-            transitions=(TransitionSpec("logistic", 0.5, 1.0),),
-        )
-        SigmaSpec.multi_regime(**good)
-        with pytest.raises(ValueError):
-            SigmaSpec.multi_regime(**{**good, "scales": (0.0,)})
-        with pytest.raises(ValueError):
-            SigmaSpec.multi_regime(**{**good, "levels": (1.0, 2.0, 3.0)})
-
 
 class TestErgodicVarianceLimit:
     def test_constant(self):
@@ -330,65 +310,25 @@ class TestErgodicVarianceLimit:
     @pytest.mark.parametrize("gamma", GAMMAS)
     @pytest.mark.parametrize("family", ["logistic", "exponential"])
     def test_closed_forms_against_referees(self, family, gamma):
-        specs = [
-            SigmaSpec.smooth(0.5, 1.5, TransitionSpec(family, 0.4, gamma)),
-            SigmaSpec.multi_regime(
-                levels=(1.0, 2.0, 0.5),
-                locations=(0.3, 0.7),
-                scales=(0.05, 0.2),
-                transitions=(TransitionSpec(family, 0.5, gamma), TransitionSpec(family, 0.2, gamma)),
-            ),
-        ]
-        for spec in specs:
-            for tau in (0.1, 0.35, 0.5, 0.8, 1.0):
-                got = signals.partial_variance_limit(spec, tau)
-                assert abs(got - variance_referee(spec, tau, graded)) <= 1e-12
-                # A multi-regime transition is 1/scale times steeper in x.
-                if gamma / min(spec.scales, default=1.0) <= QUAD_MAX_GAMMA:
-                    assert abs(got - variance_referee(spec, tau, adaptive)) <= 1e-12
-
-    def test_multi_regime_matches_riemann_sum(self):
-        spec = SigmaSpec.multi_regime(
-            levels=(1.0, 2.0, 0.5),
-            locations=(0.3, 0.7),
-            scales=(0.05, 0.05),
-            transitions=(
-                TransitionSpec("logistic", 0.5, 1.0),
-                TransitionSpec("exponential", 0.5, 3.0),
-            ),
-        )
-        n = 1_000_000
-        riemann = float(np.mean(sigma_path(spec, n) ** 2))
-        assert ergodic_variance_limit(spec) == pytest.approx(riemann, abs=1e-4)
+        spec = SigmaSpec.smooth(0.5, 1.5, TransitionSpec(family, 0.4, gamma))
+        for tau in (0.1, 0.35, 0.5, 0.8, 1.0):
+            got = signals.partial_variance_limit(spec, tau)
+            assert abs(got - variance_referee(spec, tau, graded)) <= 1e-12
+            if gamma <= QUAD_MAX_GAMMA:
+                assert abs(got - variance_referee(spec, tau, adaptive)) <= 1e-12
 
 
 def variance_referee(spec: SigmaSpec, tau: float, integrate) -> float:
-    """int_0^tau sigma^2 of a smooth or multi-regime path by ``graded`` or
-    ``adaptive``, on the pieces where the path follows one transition."""
-    if spec.variant == "smooth":
-        pieces = [(0.0, 1.0, 0.0, 1.0, spec.transition)]
-    else:
-        locs = spec.locations
-        cuts = [0.0, *(0.5 * (p + q) for p, q in zip(locs, locs[1:])), 1.0]
-        pieces = [
-            (cuts[j], cuts[j + 1], loc, scale, shape)
-            for j, (loc, scale, shape) in enumerate(zip(locs, spec.scales, spec.transitions))
-        ]
+    """int_0^tau sigma^2 of a smooth path by ``graded`` or ``adaptive``."""
+    shape = spec.transition
+    lo, hi = spec.levels
 
     def square(x):
-        return signals._values(spec, x, (), None) ** 2
+        return (lo + (hi - lo) * transition(shape, x)) ** 2
 
-    total = 0.0
-    for lo, hi, loc, scale, shape in pieces:
-        hi = min(hi, tau)
-        if hi <= lo:
-            continue
-        centre = loc + scale * shape.tau1
-        if integrate is graded:
-            total += graded(square, lo, hi, centre, scale * layer_width(shape))
-        else:
-            total += adaptive(lambda x: float(square(np.array([x]))[0]), lo, hi, centre)
-    return total
+    if integrate is graded:
+        return graded(square, 0.0, tau, shape.tau1, layer_width(shape))
+    return adaptive(lambda x: float(square(np.array([x]))[0]), 0.0, tau, shape.tau1)
 
 
 class TestTransitionMoments:
@@ -400,8 +340,7 @@ class TestTransitionMoments:
         f2 = lambda x: transition(shape, x) ** 2
         width = layer_width(shape)
         unit = [(0.0, t) for t in np.linspace(0.05, 1.0, 20).tolist()]
-        # A multi-regime piece can reach outside [0, 1] in the transition's
-        # own coordinate.
+        # The closed forms hold on any interval, not only inside [0, 1].
         for a, b in unit + [(-3.0, 2.5), (-6.0, -1.0), (0.5, 4.0), (0.2, 0.2)]:
             m1, m2 = signals._transition_moments(shape, a, b)
             assert abs(m1 - graded(f, a, b, 0.37, width)) <= 1e-12
