@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from meanbreak import signals
-from meanbreak.signals import TransitionSpec, partial_variance_limit, transition
+from meanbreak.signals import TransitionSpec, partial_variance_limit
 
 __all__ = [
     "drift_quadrature",
@@ -34,12 +34,28 @@ __all__ = [
 ]
 
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(20)
+_NODES = _NODES.tolist()  # Python floats: see _gauss
 
 
-def _gauss(fn, a: float, b: float) -> float:
-    """int_a^b fn by the 20-node Gauss-Legendre rule; fn takes an array."""
-    half = 0.5 * (b - a)
-    return half * float(_WEIGHTS @ fn(0.5 * (a + b) + half * _NODES))
+def _gauss(spec: TransitionSpec, a: float, b: float) -> float:
+    """int_a^b F by the 20-node Gauss-Legendre rule, for F the transition of
+    ``spec``.  The nodes and F at them are Python floats, in the operation
+    order of ``transition`` on the node array, which gives its bits without
+    numpy's per-call cost on 20 values.  The exponential keeps numpy's
+    ``expm1`` (libm's differs in the last bits on some machines), and the
+    weights' dot stays numpy's, whose sum rounds unlike a Python one."""
+    half, mid = 0.5 * (b - a), 0.5 * (a + b)
+    neg_gamma, tau1 = -spec.gamma, spec.tau1
+    if spec.family == "logistic":
+        try:
+            values = [1.0 / (1.0 + math.exp(neg_gamma * (mid + half * u - tau1)))
+                      for u in _NODES]
+        except OverflowError:
+            values = [1.0 / (1.0 + signals._exp_or_inf(neg_gamma * (mid + half * u - tau1)))
+                      for u in _NODES]
+    else:  # squared as d * d, as numpy squares an array
+        values = -np.expm1([neg_gamma * ((d := mid + half * u - tau1) * d) for u in _NODES])
+    return half * float(_WEIGHTS @ np.asarray(values))
 
 
 def _graded_edges(centre: float, width: float, lo: float, hi: float) -> list[float]:
@@ -64,8 +80,7 @@ def _panels(spec: TransitionSpec):
     panel per tau.  The spec is frozen, and equal specs give the same bits."""
     width = 1.0 / spec.gamma if spec.family == "logistic" else 1.0 / math.sqrt(spec.gamma)
     edges = _graded_edges(spec.tau1, width, 0.0, 1.0)
-    f = functools.partial(transition, spec)
-    panels = (_gauss(f, a, b) for a, b in zip(edges, edges[1:]))
+    panels = (_gauss(spec, a, b) for a, b in zip(edges, edges[1:]))
     return tuple(edges), tuple(itertools.accumulate(panels, initial=0.0))
 
 
@@ -77,7 +92,7 @@ def drift_quadrature(spec: TransitionSpec, tau: float) -> float:
         raise ValueError(f"tau must lie in [0, 1], got {tau}")
     edges, cumulative = _panels(spec)
     i = bisect.bisect_right(edges, tau) - 1
-    partial = _gauss(functools.partial(transition, spec), edges[i], tau)
+    partial = _gauss(spec, edges[i], tau)
     return cumulative[i] + partial - tau * cumulative[-1]
 
 
@@ -126,6 +141,12 @@ def _check_sigma_bar2(sigma_bar2: float) -> None:
         raise ValueError(f"sigma_bar2 must be finite and positive, got {sigma_bar2}")
 
 
+def _check_means(mu1: float, mu2: float) -> None:
+    for name, mu in (("mu1", mu1), ("mu2", mu2)):
+        if not math.isfinite(mu):
+            raise ValueError(f"{name} must be finite, got {mu}")
+
+
 def limit_variance_abrupt(
     tau1: float, mu1: float, mu2: float, sigma_bar2: float
 ) -> LimitVariance:
@@ -133,6 +154,7 @@ def limit_variance_abrupt(
     mean break at sample fraction tau1."""
     if not 0.0 < tau1 < 1.0:
         raise ValueError(f"tau1 must lie in (0, 1), got {tau1}")
+    _check_means(mu1, mu2)
     _check_sigma_bar2(sigma_bar2)
     shift = tau1 * (1.0 - tau1) * (mu1 - mu2) ** 2
     return LimitVariance(sigma_star2=sigma_bar2 + shift, sigma_bar2=sigma_bar2, shift_term=shift)
@@ -143,6 +165,7 @@ def limit_variance_smooth(
 ) -> LimitVariance:
     """sigma*^2 = sigma_bar^2 + (mu2 - mu1)^2 * Var_[0,1](F) for a smooth
     mean transition F."""
+    _check_means(mu1, mu2)
     _check_sigma_bar2(sigma_bar2)
     mean_f, mean_f2 = signals._transition_moments(spec, 0.0, 1.0)
     shift = (mu2 - mu1) ** 2 * max(mean_f2 - mean_f**2, 0.0)
@@ -151,10 +174,13 @@ def limit_variance_smooth(
 
 def wn_path(noise_scaled, sigma_bar2: float) -> np.ndarray:
     """Partial-sum process of sigma_t * eps_t on the grid k/n, normalized by
-    sqrt(n * sigma_bar2); entry 0 is 0."""
+    sqrt(n * sigma_bar2); entry 0 is 0.  An empty series is a
+    ``ValueError``."""
     _check_sigma_bar2(sigma_bar2)
     arr = np.asarray(noise_scaled, dtype=np.float64)
     n = arr.size
+    if n == 0:
+        raise ValueError("noise_scaled must hold at least one value")
     out = np.empty(n + 1)
     out[0] = 0.0
     np.cumsum(arr, out=out[1:])

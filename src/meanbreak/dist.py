@@ -25,10 +25,12 @@ _MAX_TERMS = 100
 _CDF_ZERO_BELOW = 0.04
 # Per-term factors of the exponents, computed once.  -2 k^2 and 4 k^2 are
 # exact, and (2k - 1)^2 pi^2 rounds once, as in the exponent written out in
-# full, so c * z * z and c / (8 z^2) round as the written-out exponents.  _ALTERNATING holds,
-# per term k: k, 4 k^2, and -2 (k + 1)^2 for the next term, whose exp is first
-# the stopping check.
-_ALTERNATING = [(k, 4.0 * k * k, -2.0 * (k + 1) ** 2) for k in range(1, _MAX_TERMS + 1)]
+# full, so c * z * z and c / (8 z^2) round as the written-out exponents.
+# _ALTERNATING holds, per term k: the sign (-1)^k as a float, which
+# multiplies exactly, 4 k^2, and -2 (k + 1)^2 for the next term, whose exp
+# is first the stopping check.
+_ALTERNATING = [(-1.0 if k % 2 else 1.0, 4.0 * k * k, -2.0 * (k + 1) ** 2)
+                for k in range(1, _MAX_TERMS + 1)]
 _THETA = [(2 * k - 1) ** 2 * math.pi**2 for k in range(1, _MAX_TERMS + 1)]
 # Below this p (the smallest normal float) F resolves few bits of p.
 _SMALLEST_NORMAL = sys.float_info.min
@@ -45,10 +47,11 @@ def bridge_sup_cdf(z: float) -> float:
 
 def _cdf(z: float, density: bool = False):
     """F(z), or (F(z), F'(z)) with ``density``: each series is walked once,
-    and F' is its term-by-term derivative from the same ``exp`` terms."""
+    and F' is its term-by-term derivative from the same ``exp`` terms.  The
+    plain and the density walks are separate loops with the same additions,
+    so F has the same bits in both, and no term of either pays a branch."""
     if z < _CDF_ZERO_BELOW:
         return (0.0, 0.0) if density else 0.0
-    slope = 0.0
     if z < 0.5:
         # The alternating series needs ~4/z terms at small z, so switch to
         # the dual theta representation, which converges in a term or two
@@ -56,28 +59,43 @@ def _cdf(z: float, density: bool = False):
         factor = math.sqrt(2.0 * math.pi) / z
         scale = 8.0 * z * z
         total = 0.0
+        if not density:
+            for coefficient in _THETA:
+                term = factor * exp(-(coefficient / scale))
+                total += term
+                if term < _TRUNCATION_TOLERANCE:
+                    break
+            return total
+        slope = 0.0
         for coefficient in _THETA:
             exponent = coefficient / scale
             term = factor * exp(-exponent)
             total += term
-            if density:
-                # d/dz (c / z) exp(-a / z^2) = (c / z) exp(-a / z^2) (2 a / z^2 - 1) / z
-                slope += term * (2.0 * exponent - 1.0) / z
+            # d/dz (c / z) exp(-a / z^2) = (c / z) exp(-a / z^2) (2 a / z^2 - 1) / z
+            slope += term * (2.0 * exponent - 1.0) / z
             if term < _TRUNCATION_TOLERANCE:
                 break
-    else:
-        # Each term's exp serves first as the stopping check of the term before.
-        total = 1.0
-        term = 2.0 * exp(-2.0 * z * z)
-        for k, derivative, following in _ALTERNATING:
-            signed = -term if k % 2 else term
-            total += signed
-            if density:  # d/dz 2 exp(-2 k^2 z^2) = -4 k^2 z * 2 exp(-2 k^2 z^2)
-                slope -= derivative * z * signed
+        return total, slope
+    # Each term's exp serves first as the stopping check of the term before.
+    total = 1.0
+    term = 2.0 * exp(-2.0 * z * z)
+    if not density:
+        for sign, _, following in _ALTERNATING:
+            total += sign * term
             term = 2.0 * exp(following * z * z)
             if term < _TRUNCATION_TOLERANCE:
                 break
-    return (total, slope) if density else total
+        return total
+    slope = 0.0
+    for sign, derivative, following in _ALTERNATING:
+        signed = sign * term
+        total += signed
+        # d/dz 2 exp(-2 k^2 z^2) = -4 k^2 z * 2 exp(-2 k^2 z^2)
+        slope -= derivative * z * signed
+        term = 2.0 * exp(following * z * z)
+        if term < _TRUNCATION_TOLERANCE:
+            break
+    return total, slope
 
 
 def p_value(statistic: float) -> float:

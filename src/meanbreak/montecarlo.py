@@ -232,7 +232,7 @@ def _size_counts(config, bands, reps, series, n) -> np.ndarray:
     constant spec its level as a Python float, which broadcasts to the bits
     of the full path.
     """
-    paths = {spec: float(spec.levels[0]) if spec.variant == "constant"
+    paths = {spec: spec.levels[0] if spec.variant == "constant"
              else signals.mean_path(spec, n)
              for spec in dict.fromkeys(spec for _, *specs in series for spec in specs)}
     grid = np.arange(1, n + 1) / n

@@ -122,24 +122,21 @@ class _PathSpec:
             if not all(a < b for a, b in zip(edges, edges[1:])):
                 raise ValueError("step fractions must be strictly increasing within (0, 1),"
                                  f" got {self.fractions}")
-        elif len(self.levels) != 2 or self.transition is None:
-            raise ValueError("smooth variant needs two levels and a transition")
+        elif len(self.levels) != 2 or not isinstance(self.transition, TransitionSpec):
+            raise ValueError("smooth variant needs two levels and a TransitionSpec,"
+                             f" got {len(self.levels)} levels and {self.transition!r}")
+        # Stored as Python floats, as TransitionSpec stores its own: equal
+        # specs then build the same paths (an int level would build int64).
+        object.__setattr__(self, "levels", tuple(map(float, self.levels)))
+        object.__setattr__(self, "fractions", tuple(map(float, self.fractions)))
 
     @classmethod
     def step(cls, levels, fractions):
-        return cls(
-            variant="step",
-            levels=tuple(float(v) for v in levels),
-            fractions=tuple(float(f) for f in fractions),
-        )
+        return cls(variant="step", levels=tuple(levels), fractions=tuple(fractions))
 
     @classmethod
     def smooth(cls, level_from: float, level_to: float, spec: TransitionSpec):
-        return cls(
-            variant="smooth",
-            levels=(float(level_from), float(level_to)),
-            transition=spec,
-        )
+        return cls(variant="smooth", levels=(level_from, level_to), transition=spec)
 
 
 class MeanSpec(_PathSpec):
@@ -150,7 +147,7 @@ class MeanSpec(_PathSpec):
 
     @classmethod
     def constant(cls, mu: float) -> "MeanSpec":
-        return cls(variant="constant", levels=(float(mu),))
+        return cls(variant="constant", levels=(mu,))
 
 
 class SigmaSpec(_PathSpec):
@@ -162,7 +159,7 @@ class SigmaSpec(_PathSpec):
 
     @classmethod
     def constant(cls, sigma: float) -> "SigmaSpec":
-        return cls(variant="constant", levels=(float(sigma),))
+        return cls(variant="constant", levels=(sigma,))
 
 
 def mean_path(spec: _PathSpec, n: int) -> np.ndarray:

@@ -1,9 +1,10 @@
 """Numeric referees for the closed-form integrals: the graded Gauss-Legendre
-rule of ``asymptotics.drift_quadrature`` over any interval, and scipy's
-adaptive quadrature, which only the tests import."""
+rule of ``asymptotics.drift_quadrature`` over any interval, on a vectorised
+integrand, and scipy's adaptive quadrature, which only the tests import."""
 
 import math
 
+import numpy as np
 from scipy.integrate import quad
 
 from meanbreak import asymptotics
@@ -18,11 +19,19 @@ def layer_width(shape) -> float:
     return 1.0 / shape.gamma if shape.family == "logistic" else 1.0 / math.sqrt(shape.gamma)
 
 
+def gauss(fn, a: float, b: float) -> float:
+    """int_a^b fn (vectorised) by the 20-node Gauss-Legendre rule of
+    ``asymptotics``, on the node array."""
+    half = 0.5 * (b - a)
+    nodes = np.asarray(asymptotics._NODES)
+    return half * float(asymptotics._WEIGHTS @ fn(0.5 * (a + b) + half * nodes))
+
+
 def graded(fn, lo: float, hi: float, centre: float, width: float) -> float:
     """int_lo^hi fn (vectorised) on 20-node Gauss-Legendre panels with edges
     at centre and centre +- 2^k width."""
     edges = asymptotics._graded_edges(centre, width, lo, hi)
-    return sum(asymptotics._gauss(fn, a, b) for a, b in zip(edges, edges[1:]))
+    return sum(gauss(fn, a, b) for a, b in zip(edges, edges[1:]))
 
 
 def adaptive(fn, lo: float, hi: float, centre: float) -> float:

@@ -1,6 +1,7 @@
 """Tests for the drift function, limiting variances, and the partial-sum
 process diagnostics."""
 
+import functools
 import math
 
 import numpy as np
@@ -19,7 +20,7 @@ from meanbreak.asymptotics import (
     wn_path,
 )
 from meanbreak.signals import SigmaSpec, TransitionSpec, ergodic_variance_limit, transition
-from referee import GAMMAS, QUAD_MAX_GAMMA, adaptive, graded, layer_width
+from referee import GAMMAS, QUAD_MAX_GAMMA, adaptive, gauss, graded, layer_width
 
 
 class TestDriftQuadrature:
@@ -59,9 +60,9 @@ class TestDriftQuadrature:
         # panel per tau, and an equal spec built separately reuses the sums.
         gauss, spans = asymptotics._gauss, []
 
-        def counting_gauss(fn, a, b):
+        def counting_gauss(spec, a, b):
             spans.append((a, b))
-            return gauss(fn, a, b)
+            return gauss(spec, a, b)
 
         monkeypatch.setattr(asymptotics, "_gauss", counting_gauss)
         asymptotics._panels.cache_clear()
@@ -82,6 +83,27 @@ class TestDriftQuadrature:
         limit_variance_smooth(twin, 1.0, 2.0, 1.0)
         drift_closed_exponential(0.35, 40.0, 0.5)
         assert len(spans) == len(panels) + 2 * 99
+
+    @pytest.mark.parametrize("family", ["logistic", "exponential"])
+    def test_float_nodes_same_bits_as_array_rule(self, family):
+        # The rule evaluates its nodes as Python floats; it must give the
+        # bits of the rule on the array transition, on seeded intervals and
+        # on intervals below the layer, where the logistic's exp overflows.
+        rng = np.random.default_rng(2027)
+        overflowing = 0
+        for _ in range(200):
+            gamma = math.exp(rng.uniform(math.log(0.5), math.log(1e6)))
+            spec = TransitionSpec(family, rng.uniform(0.05, 0.95), gamma)
+            below = spec.tau1 - 800.0 / gamma
+            intervals = [sorted(rng.uniform(0.0, 1.0, 2).tolist()), (0.0, spec.tau1),
+                         (spec.tau1, 1.0), (0.5, 0.5)]
+            if below > 0.0:
+                intervals.append((rng.uniform(0.0, below), below))
+                overflowing += 1
+            f = functools.partial(transition, spec)
+            for a, b in intervals:
+                assert asymptotics._gauss(spec, a, b).hex() == gauss(f, a, b).hex()
+        assert overflowing > 50
 
     def test_spec_from_numpy_scalars_is_a_memo_key(self):
         plain = TransitionSpec("logistic", 0.5, 20.0)
@@ -261,6 +283,17 @@ class TestLimitVariances:
         with pytest.raises(ValueError, match="sigma_bar2 must be finite and positive"):
             limit_variance_smooth(spec, 1.0, 2.0, sigma_bar2)
 
+    @pytest.mark.parametrize("mu", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["mu1", "mu2"])
+    def test_non_finite_means_rejected(self, name, mu):
+        # Unchecked, a nan gave sigma*^2 = nan and an infinity gave inf.
+        means = {"mu1": 1.0, "mu2": 2.0, name: mu}
+        spec = TransitionSpec("logistic", 0.5, 20.0)
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            limit_variance_abrupt(0.5, means["mu1"], means["mu2"], 1.0)
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            limit_variance_smooth(spec, means["mu1"], means["mu2"], 1.0)
+
 
 class TestPartialVarianceLimit:
     def test_constant(self):
@@ -314,6 +347,11 @@ class TestWnPath:
         # Unchecked, a nan would make the whole path nan.
         with pytest.raises(ValueError, match="sigma_bar2 must be finite and positive"):
             wn_path(np.ones(5), sigma_bar2)
+
+    def test_empty_series_rejected(self):
+        # It returned [nan], with a RuntimeWarning from 0 / 0.
+        with pytest.raises(ValueError, match="at least one value"):
+            wn_path([], 1.0)
 
     def test_variance_at_half_matches_limit(self):
         # two-regime volatility: var W_n(1/2) converges to the normalized

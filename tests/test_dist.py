@@ -43,11 +43,13 @@ def written_out(z, density=False):
 
 
 def written_out_grid():
-    """Seeded points of [0, 6) and the edges of the series' branches, with
-    their neighbours."""
+    """Seeded points of [0, 6), log-uniform ones of [0.04, 40], the edges of
+    the series' branches with their neighbours, and infinity."""
     edges = [0.04, 0.5, 6.0]
     edges += [math.nextafter(e, d) for e in edges for d in (0.0, math.inf)]
-    return np.random.default_rng(23).uniform(0.0, 6.0, 100_000).tolist() + edges
+    far = np.exp(np.random.default_rng(29).uniform(math.log(0.04), math.log(40.0), 20_000))
+    return (np.random.default_rng(23).uniform(0.0, 6.0, 100_000).tolist() + far.tolist()
+            + edges + [math.inf])
 
 
 class TestCdf:

@@ -211,6 +211,22 @@ class TestMeanPath:
             tracemalloc.stop()
         assert peak < arrays * 8 * n
 
+    @pytest.mark.parametrize("built, written", [
+        (MeanSpec("constant", (1,)), MeanSpec.constant(1.0)),
+        (MeanSpec("step", [np.int64(1), 2], [np.float32(0.5)]),
+         MeanSpec.step((1.0, 2.0), (0.5,))),
+        (SigmaSpec("smooth", (1, np.float64(2.0)), transition=TransitionSpec("logistic", 0.5, 20)),
+         SigmaSpec.smooth(1.0, 2.0, TransitionSpec("logistic", 0.5, 20.0))),
+    ], ids=["constant", "step", "smooth"])
+    def test_levels_stored_as_floats(self, built, written):
+        # Levels and fractions are Python floats however given: an int level
+        # built an int64 path that compared equal to the float spec's.
+        assert built == written and hash(built) == hash(written)
+        assert all(type(v) is float for v in built.levels + built.fractions)
+        path = mean_path(built, 7)
+        assert path.dtype == np.float64
+        assert path.tobytes() == mean_path(written, 7).tobytes()
+
     def test_mean_spec_takes_no_regime_fields(self):
         with pytest.raises(TypeError):
             MeanSpec("constant", (1.0,), locations=(0.5,))
@@ -241,6 +257,15 @@ class TestSigmaPath:
             SigmaSpec("multi_regime", (1.0, 2.0))
         assert repr(SigmaSpec.constant(1.0)) == (
             "SigmaSpec(variant='constant', levels=(1.0,), fractions=(), transition=None)")
+
+    @pytest.mark.parametrize("transition", [None, 0.5, ("logistic", 0.5, 20.0)],
+                             ids=["none", "float", "tuple"])
+    def test_smooth_needs_a_transition_spec(self, transition):
+        # A float was built and failed in sigma_path with AttributeError.
+        with pytest.raises(ValueError, match="TransitionSpec"):
+            SigmaSpec("smooth", (1.0, 2.0), transition=transition)
+        with pytest.raises(ValueError, match="TransitionSpec"):
+            MeanSpec("smooth", (1.0, 2.0), transition=transition)
 
     def test_nonpositive_level_rejected(self):
         with pytest.raises(ValueError):
