@@ -174,15 +174,16 @@ def limit_variance_smooth(
 
 def wn_path(noise_scaled, sigma_bar2: float) -> np.ndarray:
     """Partial-sum process of sigma_t * eps_t on the grid k/n, normalized by
-    sqrt(n * sigma_bar2); entry 0 is 0.  An empty series is a
-    ``ValueError``."""
+    sqrt(n * sigma_bar2); entry 0 is 0.  A (rows, n) array gives each row's
+    path.  An empty series, or an input not 1-D or 2-D, is a ``ValueError``."""
     _check_sigma_bar2(sigma_bar2)
     arr = np.asarray(noise_scaled, dtype=np.float64)
-    n = arr.size
+    if arr.ndim not in (1, 2):
+        raise ValueError(f"noise_scaled must be 1-D or 2-D, got shape {arr.shape}")
+    n = arr.shape[-1]
     if n == 0:
         raise ValueError("noise_scaled must hold at least one value")
-    out = np.empty(n + 1)
-    out[0] = 0.0
-    np.cumsum(arr, out=out[1:])
+    out = np.zeros((*arr.shape[:-1], n + 1))
+    np.cumsum(arr, axis=-1, out=out[..., 1:])
     out /= math.sqrt(n * sigma_bar2)
     return out

@@ -34,13 +34,14 @@ def _value_list(raw: str, convert) -> list:
     return values
 
 
-CONFIG_KEYS = {  # simulate --config: key -> parser of its value, which may raise ValueError
-    "series": lambda raw: montecarlo.PRESET_IDS if raw == "all" else _value_list(raw, int),
-    "n": lambda raw: _value_list(raw, int),
-    "alpha": lambda raw: _value_list(raw, float),
-    "reps": int,
-    "seed": int,
-    "workers": int,
+CONFIG_KEYS = {  # simulate flag or --config key -> (ExperimentConfig field, parser)
+    "series": ("series", lambda raw: montecarlo.PRESET_IDS if raw == "all"
+               else _value_list(raw, int)),
+    "n": ("sample_sizes", lambda raw: _value_list(raw, int)),
+    "alpha": ("levels", lambda raw: _value_list(raw, float)),
+    "reps": ("replications", int),
+    "seed": ("master_seed", int),
+    "workers": ("workers", int),
 }
 
 
@@ -140,29 +141,23 @@ def _read_config_file(path: str) -> dict[str, tuple[int, str]]:
 
 
 def _config_from_args(args) -> montecarlo.ExperimentConfig:
-    """Each setting from its flag, else from the --config file, else its default."""
+    """Each setting from its flag, else the --config file, else ``ExperimentConfig``'s."""
     file_opts = _read_config_file(args.config) if args.config else {}
     if args.series is None and "series" not in file_opts:
         raise ValueError("no series selected: pass --series or --all")
-    settings = {"n": [30, 100, 500, 1000], "alpha": [0.01, 0.05, 0.10],
-                "reps": 1000, "seed": 0, "workers": usable_cpus()}
-    for key, parse in CONFIG_KEYS.items():
+    settings = {"workers": usable_cpus()}  # the CLI's own default; the library's is 1
+    for key, (name, parse) in CONFIG_KEYS.items():
         if (flag := getattr(args, key)) is not None:
-            settings[key] = flag
+            settings[name] = flag
         elif key in file_opts:
             line, raw = file_opts[key]
             try:
-                settings[key] = parse(raw)
+                settings[name] = parse(raw)
             except ValueError:
                 raise DataError(f"{args.config}:{line}: bad value for {key!r}: {raw!r}") from None
-    return montecarlo.ExperimentConfig(
-        series=tuple(settings["series"]),
-        sample_sizes=tuple(settings["n"]),
-        levels=tuple(sorted(settings["alpha"])),
-        replications=settings["reps"],
-        master_seed=settings["seed"],
-        workers=settings["workers"],
-    )
+    if "levels" in settings:
+        settings["levels"] = sorted(settings["levels"])
+    return montecarlo.ExperimentConfig(**settings)
 
 
 def cmd_simulate(args) -> int:
@@ -187,16 +182,13 @@ def _print_diagnostics(config: montecarlo.ExperimentConfig) -> None:
     n = max(config.sample_sizes)
     reps = min(config.replications, 500)
     points = [int(t * n) for t in taus]
-    for key in config.series:
-        _, sigma_spec = montecarlo.preset(key)
+    for label, key, _, sigma_spec in map(montecarlo._resolve, config.series):
         sigma_bar2 = signals.ergodic_variance_limit(sigma_spec)
         path = signals.sigma_path(sigma_spec, n)
         blocks = signals.noise_blocks((config.master_seed, key, n), range(reps), n)
-        samples = np.array([
-            asymptotics.wn_path(path * eps, sigma_bar2)[points]
-            for block in blocks for eps in block
-        ])
-        print(f"FCLT diagnostics, Series {key} (n={n}, reps={reps}):", file=sys.stderr)
+        samples = np.concatenate([asymptotics.wn_path(path * block, sigma_bar2)[:, points]
+                                  for block in blocks])
+        print(f"FCLT diagnostics, {label} (n={n}, reps={reps}):", file=sys.stderr)
         for i, tau in enumerate(taus):
             limit = asymptotics.partial_variance_limit(sigma_spec, tau) / sigma_bar2
             print(

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import math
 import numbers
@@ -37,8 +38,6 @@ __all__ = [
     "run_experiment",
     "emit_table",
 ]
-
-PRESET_IDS = tuple(range(1, 10))
 
 _MEAN_BREAK = 0.5
 _MEAN_LEVELS = (1.0, 2.0)
@@ -69,26 +68,16 @@ _SIGMAS = {
     ),
 }
 
-# (mean dynamic, sigma dynamic) per preset id
-_PRESETS = {
-    1: ("constant", "constant"),
-    2: ("constant", "step"),
-    3: ("constant", "smooth"),
-    4: ("step", "constant"),
-    5: ("step", "step"),
-    6: ("step", "smooth"),
-    7: ("smooth", "constant"),
-    8: ("smooth", "step"),
-    9: ("smooth", "smooth"),
-}
+# (MeanSpec, SigmaSpec) per preset id: the 3x3 product, sigma varying fastest
+_PRESETS = dict(enumerate(itertools.product(_MEANS.values(), _SIGMAS.values()), 1))
+PRESET_IDS = tuple(_PRESETS)
 
 
 def preset(series_id: int) -> tuple[MeanSpec, SigmaSpec]:
     """Mean/volatility specs for canonical series 1-9."""
     if series_id not in _PRESETS:
         raise ValueError(f"series id must be in 1..9, got {series_id}")
-    mean_key, sigma_key = _PRESETS[series_id]
-    return _MEANS[mean_key], _SIGMAS[sigma_key]
+    return _PRESETS[series_id]
 
 
 def _integer(name: str, value) -> int:
@@ -181,8 +170,7 @@ class RejectionTable:
 def _resolve(entry) -> tuple[str, int, MeanSpec, SigmaSpec]:
     """Label, stable seed key, and specs for a series entry."""
     if isinstance(entry, int):
-        mean_spec, sigma_spec = preset(entry)
-        return f"Series {entry}", entry, mean_spec, sigma_spec
+        return f"Series {entry}", entry, *preset(entry)
     if not (len(entry) == 3 and isinstance(entry[1], MeanSpec)
             and isinstance(entry[2], SigmaSpec)):
         raise ValueError(f"series: expected a preset id or a (label, MeanSpec, SigmaSpec)"
@@ -301,30 +289,27 @@ def emit_table(table: RejectionTable, format: str = "text") -> str:
     raise ValueError(f"unknown format {format!r}")
 
 
+_COLUMNS = ("series", "n", "alpha", "rejections", "replications", "frequency")
+
+
+def _rows(table: RejectionTable) -> list[tuple]:
+    """One row of ``_COLUMNS`` values per cell, in sorted cell order."""
+    reps = table.replications
+    return [(label, n, alpha, rejections, reps, rejections / reps)
+            for (label, n, alpha), rejections in sorted(table.cells.items())]
+
+
 def _emit_csv(table: RejectionTable) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["series", "n", "alpha", "rejections", "replications", "frequency"])
-    for (label, n, alpha), rejections in sorted(table.cells.items()):
-        writer.writerow(
-            [label, n, f"{alpha:.10g}", rejections, table.replications,
-             f"{rejections / table.replications:.10g}"]
-        )
+    writer.writerow(_COLUMNS)
+    writer.writerows((label, n, f"{alpha:.10g}", rejections, reps, f"{frequency:.10g}")
+                     for label, n, alpha, rejections, reps, frequency in _rows(table))
     return buf.getvalue()
 
 
 def _emit_json(table: RejectionTable) -> str:
-    cells = [
-        {
-            "series": label,
-            "n": n,
-            "alpha": alpha,
-            "rejections": rejections,
-            "replications": table.replications,
-            "frequency": rejections / table.replications,
-        }
-        for (label, n, alpha), rejections in sorted(table.cells.items())
-    ]
+    cells = [dict(zip(_COLUMNS, row)) for row in _rows(table)]
     degenerate = [
         {"series": label, "n": n, "count": count}
         for (label, n), count in sorted(table.degenerate.items())

@@ -112,6 +112,10 @@ class _PathSpec:
             raise ValueError("levels must be finite")
         if self.variant not in ("constant", "step", "smooth"):
             raise ValueError(f"unknown {self._kind} variant {self.variant!r}")
+        if self.variant != "step" and len(self.fractions):
+            raise ValueError(f"{self.variant} variant takes no fractions, got {self.fractions}")
+        if self.variant != "smooth" and self.transition is not None:
+            raise ValueError(f"{self.variant} variant takes no transition, got {self.transition}")
         if self.variant == "constant":
             if len(self.levels) != 1:
                 raise ValueError("constant variant takes exactly one level")

@@ -352,6 +352,42 @@ class TestWnPath:
         # It returned [nan], with a RuntimeWarning from 0 / 0.
         with pytest.raises(ValueError, match="at least one value"):
             wn_path([], 1.0)
+        with pytest.raises(ValueError, match="at least one value"):
+            wn_path(np.empty((3, 0)), 1.0)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 200, 5000])
+    def test_series_keeps_its_bits(self, n):
+        # The written-out rule: 0, then the running sum in place, then one
+        # division of the whole path.
+        x = np.random.default_rng(n).standard_normal(n) * 1.7
+        expected = np.empty(n + 1)
+        expected[0] = 0.0
+        np.cumsum(x, out=expected[1:])
+        expected /= math.sqrt(n * 2.89)
+        assert wn_path(x, 2.89).tobytes() == expected.tobytes()
+        assert wn_path(x.tolist(), 2.89).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("shape", [(1, 1), (2, 3), (16, 64), (3, 5000)],
+                             ids=lambda shape: "x".join(map(str, shape)))
+    def test_rows_give_each_rows_path(self, shape):
+        x = np.random.default_rng(shape[1]).standard_normal(shape)
+        paths = wn_path(x, 0.5)
+        assert paths.shape == (shape[0], shape[1] + 1)
+        for row, path in zip(x, paths):
+            assert path.tobytes() == wn_path(row, 0.5).tobytes()
+
+    def test_rows_are_not_flattened(self):
+        # np.ones((2, 3)) gave one path of 7 points: the running sum of all
+        # six values, normalised with n = 6.
+        np.testing.assert_array_equal(
+            wn_path(np.ones((2, 3)), 1.0), np.tile(np.arange(4) / math.sqrt(3.0), (2, 1)))
+
+    @pytest.mark.parametrize("value, shape", [(2.0, r"\(\)"), (np.ones((2, 3, 4)), r"\(2, 3, 4\)")],
+                             ids=["0-d", "3-D"])
+    def test_other_dimensions_rejected(self, value, shape):
+        # A 0-d input returned [0, x], a path of one step.
+        with pytest.raises(ValueError, match=f"1-D or 2-D, got shape {shape}"):
+            wn_path(value, 1.0)
 
     def test_variance_at_half_matches_limit(self):
         # two-regime volatility: var W_n(1/2) converges to the normalized

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import meanbreak
-from meanbreak import cli, core, reader
+from meanbreak import cli, core, montecarlo, reader
 from processes import assert_no_children, run_child
 
 
@@ -923,6 +923,26 @@ class TestCmdSimulate:
         monkeypatch.setattr(os, "cpu_count", lambda: 64)
         args = cli._build_parser().parse_args(["simulate", "--series", "1"])
         assert cli._config_from_args(args).workers == 2
+
+    def test_defaults_are_the_librarys_but_workers(self, tmp_path):
+        # Only the settings a flag or the file gives reach ExperimentConfig;
+        # workers default to the usable CPUs, where the library's default is 1.
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text("series = 1\n")
+        expected = montecarlo.ExperimentConfig(series=(1,), workers=meanbreak.usable_cpus())
+        for argv in (["--series", "1"], ["--config", str(cfg)]):
+            args = cli._build_parser().parse_args(["simulate", *argv])
+            assert cli._config_from_args(args) == expected
+
+    def test_levels_sorted_from_flags_and_file(self, tmp_path):
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text("series = 2 1\nalpha = 0.1, 0.01\nn = 50 20\n")
+        for argv in (["--config", str(cfg)],
+                     ["--series", "2", "--series", "1", "--alpha", "0.1", "--alpha", "0.01",
+                      "--n", "50", "--n", "20"]):
+            config = cli._config_from_args(cli._build_parser().parse_args(["simulate", *argv]))
+            assert (config.series, config.sample_sizes, config.levels) == ((2, 1), (50, 20),
+                                                                           (0.01, 0.1))
 
     def test_text_format_layout(self, capsys):
         code, out, _ = run_cli(

@@ -1,6 +1,8 @@
 """Tests for the rejection-frequency experiment harness and table emission."""
 
+import csv
 import dataclasses
+import io
 import json
 import math
 import multiprocessing
@@ -51,6 +53,12 @@ class TestPreset:
         for bad in (0, 10, -1):
             with pytest.raises(ValueError):
                 preset(bad)
+
+    def test_ids_run_the_product_sigma_fastest(self):
+        dynamics = ("constant", "step", "smooth")
+        assert montecarlo.PRESET_IDS == tuple(range(1, 10))
+        pairs = [(mean.variant, sigma.variant) for mean, sigma in map(preset, montecarlo.PRESET_IDS)]
+        assert pairs == [(m, s) for m in dynamics for s in dynamics]
 
 
 class TestExperimentConfig:
@@ -560,6 +568,26 @@ class TestEmitTable:
   "replications": 4
 }
 """
+
+    def test_csv_and_json_agree_cell_by_cell(self):
+        # A custom label and a degenerate cell among the presets: both
+        # formats spell the same columns and hold the same rows in order.
+        flat = ("a flat, \"quoted\" design", MeanSpec.constant(1.0), SigmaSpec.constant(1e-300))
+        config = ExperimentConfig(series=(4, flat, 1), sample_sizes=(30, 20),
+                                  levels=(0.01, 0.05, 1 / 3), replications=7, master_seed=2)
+        table = run_experiment(config)
+        assert table.degenerate[(flat[0], 30)] == 7
+        header, *rows = csv.reader(io.StringIO(emit_table(table, "csv")))
+        doc = json.loads(emit_table(table, "json"))
+        assert len(rows) == len(doc["cells"]) == 18
+        for row, cell in zip(rows, doc["cells"]):
+            assert sorted(header) == sorted(cell)
+            assert dict(zip(header, row)) == {
+                "series": cell["series"], "n": str(cell["n"]), "alpha": f"{cell['alpha']:.10g}",
+                "rejections": str(cell["rejections"]), "replications": "7",
+                "frequency": f"{cell['frequency']:.10g}"}
+            assert cell["rejections"] == table.cells[(cell["series"], cell["n"], cell["alpha"])]
+        assert doc["degenerate"] == [{"series": flat[0], "n": n, "count": 7} for n in (20, 30)]
 
     def test_json_round_trip(self):
         table = run_experiment(SMALL)

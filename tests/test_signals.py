@@ -1,5 +1,6 @@
 """Tests for transition functions, mean/volatility paths, and series synthesis."""
 
+import dataclasses
 import hashlib
 import math
 import tracemalloc
@@ -266,6 +267,20 @@ class TestSigmaPath:
             SigmaSpec("smooth", (1.0, 2.0), transition=transition)
         with pytest.raises(ValueError, match="TransitionSpec"):
             MeanSpec("smooth", (1.0, 2.0), transition=transition)
+
+    @pytest.mark.parametrize("variant, field", [
+        ("constant", "fractions"), ("smooth", "fractions"),
+        ("constant", "transition"), ("step", "transition"),
+    ])
+    def test_fields_the_variant_does_not_use_rejected(self, variant, field):
+        # Such a spec was built, built the path of the spec without the
+        # field, and compared unequal to it: the engine keyed one path twice.
+        value = {"fractions": (0.5,), "transition": TransitionSpec("logistic", 0.5, 20.0)}[field]
+        for cls in (MeanSpec, SigmaSpec):
+            spec = {"constant": cls.constant(1.0), "step": cls.step((1.0, 2.0), (0.5,)),
+                    "smooth": cls.smooth(1.0, 2.0, TransitionSpec("exponential", 0.5, 4.0))}
+            with pytest.raises(ValueError, match=f"^{variant} variant takes no {field}, got "):
+                dataclasses.replace(spec[variant], **{field: value})
 
     def test_nonpositive_level_rejected(self):
         with pytest.raises(ValueError):
