@@ -108,8 +108,8 @@ def cmd_test(args) -> int:
     return EXIT_OK
 
 
-def _read_config_file(path: str) -> dict[str, tuple[int, str]]:
-    """The file's settings: key -> (line number, value)."""
+def _read_config_file(path: str) -> dict:
+    """The file's settings as ``ExperimentConfig`` fields, parsed as read."""
     try:
         with open(path, "rb") as fh:
             data = fh.read()
@@ -120,7 +120,7 @@ def _read_config_file(path: str) -> dict[str, tuple[int, str]]:
         # exc.object is the data after any byte-order mark, as exc.start counts
         lineno = len((exc.object[:exc.start].decode("utf-8") + "_").splitlines())
         raise DataError(f"{path}:{lineno}: {exc}") from None
-    options: dict[str, tuple[int, str]] = {}
+    settings: dict = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -128,33 +128,29 @@ def _read_config_file(path: str) -> dict[str, tuple[int, str]]:
         sep = "=" if "=" in line else (":" if ":" in line else None)
         if sep is None:
             raise DataError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
-        key, _, value = line.partition(sep)
-        key = key.strip()
+        key, _, value = map(str.strip, line.partition(sep))
         if key not in CONFIG_KEYS:
             raise DataError(
                 f"{path}:{lineno}: unknown key {key!r}; accepted keys: {', '.join(CONFIG_KEYS)}"
             )
-        if key in options:
+        name, parse = CONFIG_KEYS[key]
+        if name in settings:
             raise DataError(f"{path}:{lineno}: key {key!r} is set twice")
-        options[key] = (lineno, value.strip())
-    return options
+        try:
+            settings[name] = parse(value)
+        except ValueError:
+            raise DataError(f"{path}:{lineno}: bad value for {key!r}: {value!r}") from None
+    return settings
 
 
 def _config_from_args(args) -> montecarlo.ExperimentConfig:
     """Each setting from its flag, else the --config file, else ``ExperimentConfig``'s."""
-    file_opts = _read_config_file(args.config) if args.config else {}
-    if args.series is None and "series" not in file_opts:
+    settings = {"workers": usable_cpus(),  # the CLI's own default; the library's is 1
+                **(_read_config_file(args.config) if args.config else {}),
+                **{name: flag for key, (name, _) in CONFIG_KEYS.items()
+                   if (flag := getattr(args, key)) is not None}}
+    if "series" not in settings:
         raise ValueError("no series selected: pass --series or --all")
-    settings = {"workers": usable_cpus()}  # the CLI's own default; the library's is 1
-    for key, (name, parse) in CONFIG_KEYS.items():
-        if (flag := getattr(args, key)) is not None:
-            settings[name] = flag
-        elif key in file_opts:
-            line, raw = file_opts[key]
-            try:
-                settings[name] = parse(raw)
-            except ValueError:
-                raise DataError(f"{args.config}:{line}: bad value for {key!r}: {raw!r}") from None
     if "levels" in settings:
         settings["levels"] = sorted(settings["levels"])
     return montecarlo.ExperimentConfig(**settings)

@@ -202,34 +202,31 @@ def _rejections(statistic: np.ndarray, alphas: np.ndarray, bands: np.ndarray) ->
     return reject
 
 
-def _range_counts(config: ExperimentConfig, bands: np.ndarray, reps: range) -> np.ndarray:
+def _range_counts(config, bands, series, reps) -> np.ndarray:
     """Per (n, series) cell of ``config``, n-major, over the replications
     ``reps``: one int64 row of the rejections per level, then the degenerate
-    count.  ``bands`` are ``_critical_bands(config.levels)``."""
-    series = [_resolve(entry)[1:] for entry in config.series]
-    return np.concatenate([_size_counts(config, bands, reps, series, n)
-                           for n in config.sample_sizes])
+    count.  ``bands`` are ``_critical_bands(config.levels)``, and ``series``
+    holds the (label, key, MeanSpec, SigmaSpec) of each ``config.series`` entry.
 
-
-def _size_counts(config, bands, reps, series, n) -> np.ndarray:
-    """The rows of :func:`_range_counts` at sample size n, in a call of its
-    own, so that its paths are freed before the next size's are built.
-
-    Each distinct spec of the (key, MeanSpec, SigmaSpec) ``series`` is built
-    once for all of its cells: ``signals.mean_path(spec, n)``, or for a
-    constant spec its level as a Python float, which broadcasts to the bits
-    of the full path.
+    At each n, each distinct spec is built once for all of its cells:
+    ``signals.mean_path(spec, n)``, or for a constant spec its level as a
+    Python float, which broadcasts to the bits of the full path.  A size's
+    paths are dropped before the next size's are built.
     """
-    paths = {spec: spec.levels[0] if spec.variant == "constant"
-             else signals.mean_path(spec, n)
-             for spec in dict.fromkeys(spec for _, *specs in series for spec in specs)}
-    grid = np.arange(1, n + 1) / n
-    return np.array([_cell_counts(config, bands, reps, key, paths[mean], paths[sigma], grid)
-                     for key, mean, sigma in series])
+    rows = []
+    for n in config.sample_sizes:
+        paths = {spec: spec.levels[0] if spec.variant == "constant"
+                 else signals.mean_path(spec, n)
+                 for spec in dict.fromkeys(spec for _, _, *specs in series for spec in specs)}
+        grid = np.arange(1, n + 1) / n
+        rows += [_cell_counts(config, bands, reps, key, paths[mean], paths[sigma], grid)
+                 for _, key, mean, sigma in series]
+        del paths, grid
+    return np.array(rows)
 
 
 def _cell_counts(config, bands, reps, key, mu, sigma, grid) -> np.ndarray:
-    """One (series, n) cell of :func:`_size_counts`, with its mean and
+    """One (series, n) cell of :func:`_range_counts`, with its mean and
     volatility paths ``mu`` and ``sigma`` and the k/n ``grid`` at n.
 
     Replication r is ``generate_series`` with seed (master_seed, key, n, r);
@@ -265,12 +262,13 @@ def run_experiment(config: ExperimentConfig) -> RejectionTable:
     """
     ranges = _chunk_bounds(config.replications, min(config.workers, usable_cpus()))
     bands = _critical_bands(config.levels)
-    parts = fork_map(_range_counts, [(config, bands, reps) for reps in ranges],
+    series = [_resolve(entry) for entry in config.series]
+    parts = fork_map(_range_counts, [(config, bands, series, reps) for reps in ranges],
                      [f"the simulation of replications {r.start}-{r.stop}" for r in ranges])
     table = RejectionTable(
         replications=config.replications, master_seed=config.master_seed
     )
-    cells = [(label, n) for n in config.sample_sizes for label, *_ in map(_resolve, config.series)]
+    cells = [(label, n) for n in config.sample_sizes for label, *_ in series]
     for (label, n), (*rejections, degenerate) in zip(cells, sum(parts).tolist()):
         table.degenerate[(label, n)] = degenerate
         table.cells.update(zip([(label, n, alpha) for alpha in config.levels], rejections))

@@ -9,6 +9,7 @@ import csv
 import io
 import itertools
 import math
+import re
 import warnings
 from dataclasses import dataclass
 
@@ -25,13 +26,11 @@ class DataError(Exception):
 
 
 def _column_index(selector: str | None) -> int | str | None:
-    """``selector`` as a column index, or as it is if it is no integer: a
-    header name, or None."""
-    try:
-        index = int(selector)
-    except (TypeError, ValueError):
+    """``selector`` as a column index if it matches ``-?[0-9]+``, else as it
+    is: a header name, or None."""
+    if selector is None or not re.fullmatch("-?[0-9]+", selector):
         return selector
-    if index < 0:
+    if (index := int(selector)) < 0:
         raise ValueError(f"column index must be nonnegative, got {index}")
     return index
 

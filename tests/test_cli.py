@@ -293,6 +293,18 @@ class TestCmdTest:
         assert got == code
         assert message in err
 
+    @pytest.mark.parametrize("column, mean", [
+        ("+1", 7.5),  # a name: int() would take it as index 1
+        ("1_0", 5.5),  # a name: int() would take it as index 10
+        ("1", 5.5),
+    ])
+    def test_selector_is_an_index_only_if_it_is_digits(self, tmp_path, capsys, column, mean):
+        f = tmp_path / "s.csv"
+        f.write_text("a,1_0,+1\nx,5,7\ny,6,8\n")
+        code, out, _ = run_cli(capsys, "test", str(f), "--column", column, "--format", "json")
+        assert code == 0
+        assert json.loads(out)["mu_hat"] == mean
+
     @pytest.mark.parametrize("where", ["early", "late"])
     @pytest.mark.parametrize("column", ["z", "5", "-1"])
     def test_column_errors_do_not_depend_on_read_ahead(self, tmp_path, capsys, where, column):
@@ -855,6 +867,32 @@ class TestCmdSimulate:
         assert code == 3
         assert out == ""
         assert err == f"error: {cfg}:3: bad value for {key!r}: {value!r}\n"
+
+    @pytest.mark.parametrize("line, flag", [
+        ("reps = x", ("--reps", "10")),
+        ("n = 30, x", ("--n", "100")),
+    ])
+    def test_bad_config_value_under_its_flag(self, tmp_path, capsys, line, flag):
+        # The file's values are parsed as it is read: a flag that sets the
+        # key does not hide a bad value.
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text(f"series = 1\n{line}\n")
+        code, out, err = run_cli(capsys, "simulate", "--config", str(cfg), *flag)
+        key, _, value = map(str.strip, line.partition("="))
+        assert (code, out) == (3, "")
+        assert err == f"error: {cfg}:2: bad value for {key!r}: {value!r}\n"
+
+    def test_bad_config_value_comes_before_series_check(self, tmp_path, capsys):
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text("reps = x\n")
+        code, out, err = run_cli(capsys, "simulate", "--config", str(cfg))
+        assert (code, out, err) == (3, "", f"error: {cfg}:1: bad value for 'reps': 'x'\n")
+
+    def test_missing_config_is_data_error(self, tmp_path, capsys):
+        cfg = tmp_path / "absent.cfg"
+        code, out, err = run_cli(capsys, "simulate", "--series", "1", "--config", str(cfg))
+        assert (code, out) == (3, "")
+        assert err.startswith(f"error: cannot read config {cfg}: ")
 
     def test_out_of_range_config_value_is_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "sim.cfg"

@@ -9,6 +9,7 @@ import multiprocessing
 import os
 import signal
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -430,6 +431,34 @@ class TestPathTable:
         assert sorted(built, key=repr) == sorted(
             [(spec, n) for spec in varying for n in config.sample_sizes], key=repr)
 
+    def test_paths_dropped_between_sizes(self):
+        # A size's paths are freed before the next size's are built, so two
+        # sizes peak as one does.
+        def peak(sizes):
+            config = ExperimentConfig(series=tuple(range(1, 10)), sample_sizes=sizes,
+                                      replications=2, workers=1)
+            tracemalloc.start()
+            try:
+                run_experiment(config)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        run_experiment(SMALL)  # first-call allocations that stay
+        n = 50_000
+        assert peak((n, n + 1)) < 1.1 * peak((n,))
+
+    def test_each_series_entry_resolved_once(self, monkeypatch):
+        config = ExperimentConfig(series=(2, 7, ("own", MeanSpec.constant(0.5),
+                                                 SigmaSpec.constant(2.0))),
+                                  sample_sizes=(30, 100), replications=5, workers=1)
+        resolved = []
+        resolve = montecarlo._resolve
+        monkeypatch.setattr(montecarlo, "_resolve",
+                            lambda entry: resolved.append(entry) or resolve(entry))
+        run_experiment(config)
+        assert resolved == list(config.series)
+
     def test_constant_level_matches_its_full_path(self, monkeypatch):
         # A constant path is applied as a scalar level; a step path with
         # equal levels is a full array of the same values.  The statistic
@@ -520,6 +549,16 @@ class TestEmitTable:
             cells={("Series 1", 1000, 0.05): 41}, replications=1000, master_seed=0
         )
         assert "4.1" in emit_table(table, "text")
+
+    def test_text_marks_missing_cell(self):
+        table = RejectionTable(
+            cells={("Series 1", 30, 0.05): 2, ("Series 1", 100, 0.01): 1},
+            replications=10, master_seed=0,
+        )
+        assert emit_table(table, "text").splitlines()[2:] == [
+            "Series 1         1%        -    10.0 ",
+            "Series 1         5%    20.0         -",
+        ]
 
     def test_text_flags_degenerate_cells(self):
         table = RejectionTable(

@@ -6,6 +6,7 @@ a line-by-line reference reader of the README's rules reads them (McKeeman
 import csv
 import math
 import os
+import re
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -42,10 +43,14 @@ def reference(path: str, data: bytes, column: str, date_column: str | None):
         return f"{path}: rows failed to parse: {rows[0][0]}"
     first = cells(rows[0][1])
     header = first if any(not is_float(cell) for cell in first) else []
+
+    def is_index(selector):  # nonnegative: a negative index is a usage error
+        return re.fullmatch("[0-9]+", selector)
+
     for selector in filter(None, (column, date_column)):
-        if not selector.isdigit() and selector not in header:
+        if not is_index(selector) and selector not in header:
             return f"column {selector!r} not found in header {header}"
-    col, date_col = (None if s is None else int(s) if s.isdigit() else header.index(s)
+    col, date_col = (None if s is None else int(s) if is_index(s) else header.index(s)
                      for s in (column, date_column))
     for index in (col, date_col):
         if index is not None and index >= len(first):
@@ -159,6 +164,15 @@ def test_reads_as_reference(tmp_path, monkeypatch, capsys, block_chars, cpus, ca
         return
     got = [(v.hex(), rows.line(i), rows.date(i)) for i, v in enumerate(values.tolist())]
     assert got == expected
+
+
+@pytest.mark.parametrize("selector, column", [
+    ("0", 0), ("01", 1), ("-0", 0), (None, None),
+    ("+1", "+1"), ("1_0", "1_0"), (" 1", " 1"), ("1 ", "1 "), ("\u0663", "\u0663"), ("y", "y"),
+])
+def test_column_index(selector, column):
+    # An index is a run of ASCII digits; anything else names a header cell.
+    assert reader._column_index(selector) == column
 
 
 BLANKS = st.text(" \t", max_size=3)

@@ -179,10 +179,12 @@ class TestMeanPath:
         np.testing.assert_array_equal(mean_path(spec, 3), [0.0, 0.0, 1.0])
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            MeanSpec.step((1.0, 2.0), (0.7, 0.3))  # not increasing
-        with pytest.raises(ValueError):
-            MeanSpec.step((1.0,), (0.5,))  # level/fraction count mismatch
+        with pytest.raises(ValueError, match="strictly increasing"):
+            MeanSpec.step((1.0, 2.0, 3.0), (0.7, 0.3))
+        with pytest.raises(ValueError, match=r"len\(levels\) == len\(fractions\) \+ 1"):
+            MeanSpec.step((1.0,), (0.5,))
+        with pytest.raises(ValueError, match="exactly one level"):
+            MeanSpec("constant", (1.0, 5.0))
         with pytest.raises(ValueError):
             MeanSpec.constant(float("inf"))
         with pytest.raises(ValueError):
