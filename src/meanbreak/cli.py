@@ -16,7 +16,7 @@ from contextlib import nullcontext
 import numpy as np
 
 from meanbreak import core, dist, montecarlo, signals, usable_cpus
-from meanbreak.reader import DataError, load_column
+from meanbreak.reader import DataError, _undecodable, load_column
 
 __all__ = ["main"]
 
@@ -109,19 +109,17 @@ def cmd_test(args) -> int:
 
 
 def _read_config_file(path: str) -> dict:
-    """The file's settings as ``ExperimentConfig`` fields, parsed as read."""
+    """The file's settings as ``ExperimentConfig`` fields, parsed as read.
+    Lines end at "\n", "\r\n" or "\r", as in a data file."""
     try:
-        with open(path, "rb") as fh:
-            data = fh.read()
-        text = data.decode("utf-8-sig")  # a leading byte-order mark is dropped
+        with open(path, encoding="utf-8-sig") as fh:
+            lines = fh.read().split("\n")
     except OSError as exc:
         raise DataError(f"cannot read config {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:  # named by the line of the byte
-        # exc.object is the data after any byte-order mark, as exc.start counts
-        lineno = len((exc.object[:exc.start].decode("utf-8") + "_").splitlines())
-        raise DataError(f"{path}:{lineno}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise DataError(f"cannot read config {path}: {_undecodable(path) or exc}") from exc
     settings: dict = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(lines, start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue

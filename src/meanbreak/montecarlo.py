@@ -326,12 +326,13 @@ def _emit_text(table: RejectionTable) -> str:
     labels = sorted({label for label, _, _ in table.cells})
     ns = sorted({n for _, n, _ in table.cells})
     alphas = sorted({alpha for _, _, alpha in table.cells})
+    width = max([12, *(len(label) + 1 for label in labels)])  # a blank after the longest
     lines = ["Rejection frequencies (in %)"]
-    header = f"{'series':<12}{'alpha':>7}" + "".join(f"{'n=' + str(n):>9}" for n in ns)
+    header = f"{'series':<{width}}{'alpha':>7}" + "".join(f"{'n=' + str(n):>9}" for n in ns)
     lines.append(header)
     for label in labels:
         for alpha in alphas:
-            row = f"{label:<12}{alpha * 100:>6.4g}%"
+            row = f"{label:<{width}}{alpha * 100:>6.4g}%"
             for n in ns:
                 rejections = table.cells.get((label, n, alpha))
                 if rejections is None:

@@ -192,7 +192,18 @@ sigma_path = mean_path
 def _logistic_moments(tau1: float, gamma: float, a: float, b: float):
     """int_a^b F and int_a^b F^2 of the logistic transition: int F =
     softplus(gamma (x - tau1)) / gamma, and F' = gamma F (1 - F) gives
-    int F^2 = int F - F / gamma.  exp(-|z|) cannot overflow."""
+    int F^2 = int F - F / gamma.  exp(-|z|) cannot overflow.
+
+    Below a slope of 1 the softplus difference loses about 1e-16 / gamma.
+    So where gamma and gamma |b - a| are below 1 (every interval the library
+    integrates), both come from g = expm1(gamma (b - a)), which lies in
+    (-0.64, 1.72) there: int F = log1p(F(a) g) / gamma and F(b) - F(a) =
+    F(a) (1 - F(b)) g, where 1 - F(b) is the logistic at -gamma (b - tau1)."""
+    if gamma < 1.0 and gamma * abs(b - a) < 1.0:
+        g = math.expm1(gamma * (b - a))
+        f_a = 1.0 / (1.0 + _exp_or_inf(-gamma * (a - tau1)))
+        m1 = math.log1p(f_a * g) / gamma
+        return m1, m1 - f_a * g / (1.0 + _exp_or_inf(gamma * (b - tau1))) / gamma
     ends = []
     for x in (a, b):
         z = gamma * (x - tau1)

@@ -9,7 +9,7 @@ from scipy.integrate import quad
 
 from meanbreak import asymptotics
 
-GAMMAS = (0.5, 1.0, 20.0, 100.0, 1e3, 1e4, 3e4, 1e5, 1e6)
+GAMMAS = (1e-15, 1e-8, 1e-3, 0.5, 1.0, 20.0, 100.0, 1e3, 1e4, 3e4, 1e5, 1e6)
 # From gamma = 3e4 on, quad misses one side of a steep logistic layer.
 QUAD_MAX_GAMMA = 1e4
 

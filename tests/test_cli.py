@@ -909,12 +909,13 @@ class TestCmdSimulate:
         assert "key" in err
 
     def test_undecodable_config_is_data_error(self, tmp_path, capsys):
+        # Named as a data file's bad byte is, by file offset and line.
         cfg = tmp_path / "bad.cfg"
         cfg.write_bytes(b"n = 30\nreps = 5\xff\n")
         code, out, err = run_cli(capsys, "simulate", "--series", "1", "--config", str(cfg))
         assert (code, out) == (3, "")
-        assert err == (f"error: {cfg}:2: 'utf-8' codec can't decode byte 0xff in position 15: "
-                       "invalid start byte\n")
+        assert err == (f"error: cannot read config {cfg}: 'utf-8' codec can't decode byte 0xff "
+                       "at file offset 15 (line 2): invalid start byte\n")
 
     def test_config_with_byte_order_mark_runs_as_without(self, tmp_path, capsys):
         text = b"series = 1\nn = 50\nreps = 20\nseed = 3\nworkers = 1\n"
@@ -932,9 +933,56 @@ class TestCmdSimulate:
         cfg.write_bytes(codecs.BOM_UTF8 + b"n = 30\n\xffreps = 5\n")
         code, out, err = run_cli(capsys, "simulate", "--series", "1", "--config", str(cfg))
         assert (code, out) == (3, "")
-        # The position counts from the end of the mark.
-        assert err == (f"error: {cfg}:2: 'utf-8' codec can't decode byte 0xff in position 7: "
-                       "invalid start byte\n")
+        # The offset counts from the start of the file, the mark included.
+        assert err == (f"error: cannot read config {cfg}: 'utf-8' codec can't decode byte 0xff "
+                       "at file offset 10 (line 2): invalid start byte\n")
+
+    SEED1 = "series = 1\nn = 30\nreps = 20\nseed = 1\nworkers = 1\n"
+
+    @pytest.mark.parametrize("char", ["\f", "\x85", "\u2028"])
+    def test_comment_holding_a_line_separator_sets_nothing(self, tmp_path, capsys, char):
+        # Lines end at "\n", "\r\n" and "\r" only, as in a data file, so the
+        # rest of a comment line is comment whatever it holds.
+        plain, commented = tmp_path / "plain.cfg", tmp_path / "commented.cfg"
+        plain.write_text(self.SEED1, encoding="utf-8")
+        commented.write_text(f"# note{char}seed = 7\n" + self.SEED1, encoding="utf-8")
+        runs = [run_cli(capsys, "simulate", "--config", str(cfg), "--format", "csv")
+                for cfg in (plain, commented)]
+        assert runs[0][0] == 0
+        assert runs[1] == runs[0]
+
+    @pytest.mark.parametrize("char", ["\f", "\x85", "\u2028"])
+    def test_error_after_a_line_separator_names_the_editors_line(self, tmp_path, capsys,
+                                                                  char):
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text(f"# a{char}b\nseries = 1\nreps = x\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "simulate", "--config", str(cfg))
+        assert (code, out, err) == (3, "", f"error: {cfg}:3: bad value for 'reps': 'x'\n")
+
+    @pytest.mark.parametrize("ends", [("\r\n",), ("\r",), ("\r\n", "\r", "\n")],
+                             ids=["crlf", "cr", "mixed"])
+    def test_line_ends_read_as_newlines(self, tmp_path, capsys, ends):
+        cfg = tmp_path / "sim.cfg"
+        lines = self.SEED1.splitlines()
+        for tail, code in (([], 0), (["# a comment", "", "alpha = x"], 3)):
+            runs = []
+            for line_ends in (("\n",), ends):
+                cfg.write_bytes("".join(line + line_ends[k % len(line_ends)]
+                                        for k, line in enumerate(lines + tail)).encode())
+                runs.append(run_cli(capsys, "simulate", "--config", str(cfg), "--format", "csv"))
+            assert runs[0][0] == code
+            assert runs[1] == runs[0]
+        assert runs[0][2] == f"error: {cfg}:8: bad value for 'alpha': 'x'\n"
+
+    def test_colon_form_reads_as_equals(self, tmp_path, capsys):
+        plain, colon = tmp_path / "plain.cfg", tmp_path / "colon.cfg"
+        plain.write_text(self.SEED1 + "alpha = 0.05, 0.1\n")
+        colon.write_text((self.SEED1 + "alpha = 0.05, 0.1\n").replace(" = ", ": "))
+        configs = [cli._config_from_args(
+            cli._build_parser().parse_args(["simulate", "--config", str(cfg)]))
+            for cfg in (plain, colon)]
+        assert configs[1] == configs[0]
+        assert configs[0].levels == (0.05, 0.1)
 
     def test_unknown_config_key(self, tmp_path, capsys):
         cfg = tmp_path / "sim.cfg"

@@ -2,11 +2,13 @@
 
 import csv
 import dataclasses
+import errno
 import io
 import json
 import math
 import multiprocessing
 import os
+import re
 import signal
 import time
 import tracemalloc
@@ -14,6 +16,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import meanbreak
 from meanbreak import core, dist, montecarlo, signals
 from meanbreak.core import DegenerateSeriesError, lm_test
 from meanbreak.montecarlo import (
@@ -374,6 +377,35 @@ class TestForkedRanges:
         )
         assert run_child(code).splitlines()[-1] == "0 []"
 
+    def test_without_fork_every_range_runs_here(self, monkeypatch):
+        # Where os.fork does not exist, fork_map makes every call in this
+        # process.
+        monkeypatch.delattr(os, "fork")
+        assert table_json(self.TWO) == table_json(SMALL)
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                        reason="lists open descriptors under /proc, as on Linux")
+    def test_failed_fork_kills_the_children_before_it(self, monkeypatch):
+        # A fork that fails (no process left) is raised, after the child
+        # forked before it is killed and reaped, and no pipe is left open.
+        real_fork, forks = os.fork, []
+
+        def fork():
+            forks.append(None)
+            if len(forks) == 2:
+                raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+            return real_fork()
+
+        monkeypatch.setattr(os, "fork", fork)
+        descriptors = sorted(os.listdir("/proc/self/fd"))
+        start = time.monotonic()
+        with pytest.raises(OSError) as info:
+            meanbreak.fork_map(time.sleep, [(0,), (60,), (60,)], ["first", "second", "third"])
+        assert info.value.errno == errno.EAGAIN and len(forks) == 2
+        assert time.monotonic() - start < 30  # killed, not waited for
+        assert sorted(os.listdir("/proc/self/fd")) == descriptors
+        assert_no_children()
+
 
 class TestBatchedEngine:
     # 600 replications at n = 30 span two blocks of the CUSUM kernel.
@@ -559,6 +591,23 @@ class TestEmitTable:
             "Series 1         1%        -    10.0 ",
             "Series 1         5%    20.0         -",
         ]
+
+    @pytest.mark.parametrize("label", ["sd 1 to 1.5 reading", "twelve chars"])
+    def test_text_columns_line_up_with_long_labels(self, label):
+        # The label column widens to the longest label and a blank, so no
+        # row shifts against the header.
+        reading = (label, MeanSpec.constant(1.0), SigmaSpec.step((1.0, 1.5), (2 / 3,)))
+        config = ExperimentConfig(series=(1, reading), sample_sizes=(30, 100),
+                                  levels=(0.001234, 0.1), replications=20)
+        header, *rows = emit_table(run_experiment(config), "text").splitlines()[1:]
+        assert len(rows) == 4
+        for row in rows:
+            assert len(row) == len(header)
+            head = row[:header.index("alpha") + len("alpha")]
+            assert re.fullmatch(r"\S.*\S +[0-9.]+%", head), row
+            for n in (30, 100):
+                end = header.index(f"n={n}") + len(f"n={n}")
+                assert re.fullmatch(r" +[0-9]+\.[0-9] ", row[end - 9:end]), row
 
     def test_text_flags_degenerate_cells(self):
         table = RejectionTable(

@@ -166,6 +166,24 @@ def test_reads_as_reference(tmp_path, monkeypatch, capsys, block_chars, cpus, ca
     assert got == expected
 
 
+def test_without_fork_reads_as_one_process(tmp_path, monkeypatch):
+    # Where os.fork does not exist, fork_map reads every range in this process.
+    path = tmp_path / "r.csv"
+    path.write_text("date,y\n" + "".join(f"d{k},{k * 0.37}\n" for k in range(300)))
+
+    def read():
+        values, rows = reader.load_column(str(path), "y", "date")
+        return values.tolist(), [(rows.line(i), rows.date(i)) for i in range(len(values))]
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    expected = read()
+    monkeypatch.setattr(reader, "_MIN_RANGE", 16)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    monkeypatch.delattr(os, "fork")
+    assert len(reader._ranges(str(path), 0)) == 3
+    assert read() == expected
+
+
 @pytest.mark.parametrize("selector, column", [
     ("0", 0), ("01", 1), ("-0", 0), (None, None),
     ("+1", "+1"), ("1_0", "1_0"), (" 1", " 1"), ("1 ", "1 "), ("\u0663", "\u0663"), ("y", "y"),
