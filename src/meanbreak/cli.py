@@ -27,6 +27,13 @@ EXIT_DATA = 3
 PVALUE_FLOOR = 1e-12
 
 
+def _p_text(p: float) -> str:
+    """p to 7 decimals, or to 7 significant digits where 7 decimals would
+    print a positive p as 0."""
+    text = f"{p:.7f}"
+    return f"{p:.6e}" if p > 0.0 and float(text) == 0.0 else text
+
+
 def _value_list(raw: str, convert) -> list:
     values = [convert(token) for token in raw.replace(",", " ").split()]
     if not values:
@@ -97,7 +104,7 @@ def cmd_test(args) -> int:
         where = f"{outcome.break_index}"
         if break_date:
             where += f" ({break_date})"
-        p_text = f"< {PVALUE_FLOOR:g}" if underflow else f"{outcome.p_value:.7f}"
+        p_text = f"< {PVALUE_FLOOR:g}" if underflow else _p_text(outcome.p_value)
         print(f"n:           {len(series)}")
         print(f"mean:        {outcome.mu_hat:.10g}")
         print(f"variance:    {outcome.sigma2_hat:.10g}")
@@ -197,7 +204,7 @@ def cmd_quantile(args) -> int:
 
 
 def cmd_pvalue(args) -> int:
-    print(f"{dist.p_value(args.z):.7f}")
+    print(_p_text(dist.p_value(args.z)))
     return EXIT_OK
 
 

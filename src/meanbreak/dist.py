@@ -15,23 +15,39 @@ from math import exp
 
 __all__ = ["bridge_sup_cdf", "p_value", "bridge_sup_quantile"]
 
-# The alternating series stops once the next term is below this, and after
-# at most this many terms.
+# The walks stop where their terms fall below this.
 _TRUNCATION_TOLERANCE = 1e-15
-_MAX_TERMS = 100
 # Below this z every theta term exp(-pi^2 / (8 z^2)) underflows to 0 (the
 # exponent is beyond -771), so the CDF is exactly 0.0; the series itself
 # would divide by zero once 8 z^2 underflows, near z = 1e-162.
 _CDF_ZERO_BELOW = 0.04
-# Per-term factors of the exponents, computed once.  -2 k^2 and 4 k^2 are
-# exact, and (2k - 1)^2 pi^2 rounds once, as in the exponent written out in
-# full, so c * z * z and c / (8 z^2) round as the written-out exponents.
-# _ALTERNATING holds, per term k: the sign (-1)^k as a float, which
-# multiplies exactly, 4 k^2, and -2 (k + 1)^2 for the next term, whose exp
-# is first the stopping check.
-_ALTERNATING = [(-1.0 if k % 2 else 1.0, 4.0 * k * k, -2.0 * (k + 1) ** 2)
-                for k in range(1, _MAX_TERMS + 1)]
-_THETA = [(2 * k - 1) ** 2 * math.pi**2 for k in range(1, _MAX_TERMS + 1)]
+# From here on the p-value is the tail's first term (see p_value).
+_TAIL_FROM = 2.3
+
+
+def _stop(following: float) -> float:
+    """The least z at which the term 2 exp(following z^2), rounded as the
+    walk rounds it, is below the tolerance: the analytic root, moved onto
+    the boundary by ``nextafter`` steps."""
+    z = math.sqrt(math.log(0.5 * _TRUNCATION_TOLERANCE) / following)
+    while 2.0 * exp(following * z * z) < _TRUNCATION_TOLERANCE:
+        z = math.nextafter(z, 0.0)
+    while not 2.0 * exp(following * z * z) < _TRUNCATION_TOLERANCE:
+        z = math.nextafter(z, math.inf)
+    return z
+
+
+# Per-term factors, computed once.  -2 k^2 and 4 k^2 are exact, and
+# (2k - 1)^2 pi^2 rounds once, as in the exponent written out in full, so
+# c * z * z and c / (8 z^2) round as the written-out exponents.
+# _ALTERNATING holds, per term k: 2 (-1)^k, which multiplies exactly, -2 k^2,
+# 4 k^2, and the stop: from there on term k + 1 is below the tolerance, so
+# the walk ends with term k.  The table ends at term 8, the last that z >= 0.5
+# reaches (its stop is 0.466).  _THETA ends at term 2, which is below the
+# tolerance at every z < 0.5.
+_ALTERNATING = [(2.0 if k % 2 == 0 else -2.0, -2.0 * k * k, 4.0 * k * k,
+                 _stop(-2.0 * (k + 1) ** 2)) for k in range(1, 9)]
+_THETA = [(2 * k - 1) ** 2 * math.pi**2 for k in (1, 2)]
 # Below this p (the smallest normal float) F resolves few bits of p.
 _SMALLEST_NORMAL = sys.float_info.min
 
@@ -47,62 +63,52 @@ def bridge_sup_cdf(z: float) -> float:
 
 def _cdf(z: float, density: bool = False):
     """F(z), or (F(z), F'(z)) with ``density``: each series is walked once,
-    and F' is its term-by-term derivative from the same ``exp`` terms.  The
-    plain and the density walks are separate loops with the same additions,
-    so F has the same bits in both, and no term of either pays a branch."""
+    and F' is its term-by-term derivative from the same ``exp`` terms.  F's
+    additions are the same with or without the density, so F has the same
+    bits in both."""
     if z < _CDF_ZERO_BELOW:
         return (0.0, 0.0) if density else 0.0
+    total = slope = 0.0
     if z < 0.5:
         # The alternating series needs ~4/z terms at small z, so switch to
         # the dual theta representation, which converges in a term or two
         # there and keeps the CDF monotone all the way down to 0.
         factor = math.sqrt(2.0 * math.pi) / z
         scale = 8.0 * z * z
-        total = 0.0
-        if not density:
-            for coefficient in _THETA:
-                term = factor * exp(-(coefficient / scale))
-                total += term
-                if term < _TRUNCATION_TOLERANCE:
-                    break
-            return total
-        slope = 0.0
         for coefficient in _THETA:
             exponent = coefficient / scale
             term = factor * exp(-exponent)
             total += term
-            # d/dz (c / z) exp(-a / z^2) = (c / z) exp(-a / z^2) (2 a / z^2 - 1) / z
-            slope += term * (2.0 * exponent - 1.0) / z
+            if density:
+                # d/dz (c / z) exp(-a / z^2) = (c / z) exp(-a / z^2) (2 a / z^2 - 1) / z
+                slope += term * (2.0 * exponent - 1.0) / z
             if term < _TRUNCATION_TOLERANCE:
                 break
-        return total, slope
-    # Each term's exp serves first as the stopping check of the term before.
+        return (total, slope) if density else total
     total = 1.0
-    term = 2.0 * exp(-2.0 * z * z)
-    if not density:
-        for sign, _, following in _ALTERNATING:
-            total += sign * term
-            term = 2.0 * exp(following * z * z)
-            if term < _TRUNCATION_TOLERANCE:
-                break
-        return total
-    slope = 0.0
-    for sign, derivative, following in _ALTERNATING:
-        signed = sign * term
+    for twice, exponent, derivative, stop in _ALTERNATING:
+        signed = twice * exp(exponent * z * z)
         total += signed
-        # d/dz 2 exp(-2 k^2 z^2) = -4 k^2 z * 2 exp(-2 k^2 z^2)
-        slope -= derivative * z * signed
-        term = 2.0 * exp(following * z * z)
-        if term < _TRUNCATION_TOLERANCE:
+        if density:
+            # d/dz 2 exp(-2 k^2 z^2) = -4 k^2 z * 2 exp(-2 k^2 z^2)
+            slope -= derivative * z * signed
+        if z >= stop:
             break
-    return total, slope
+    return (total, slope) if density else total
 
 
 def p_value(statistic: float) -> float:
-    """Asymptotic p-value 1 - F(statistic) of a nonnegative sup-statistic."""
+    """Asymptotic p-value 1 - F(statistic) of a nonnegative sup-statistic.
+
+    From z = 2.3 on, where 1 - F would cancel, it is the tail's first term
+    2 exp(-2 z^2), the only term the walk of F adds there: the second is
+    below 1.7e-14 of it.  Relative error: below 6e-14 from there to the
+    smallest normal p (z = 18.8), and below 3.4e-12 under 2.3."""
     statistic = float(statistic)
     if not statistic >= 0.0:  # nan too
         raise ValueError(f"statistic must be nonnegative, got {statistic}")
+    if statistic >= _TAIL_FROM:
+        return 2.0 * exp(-2.0 * statistic * statistic)
     return 1.0 - _cdf(statistic)
 
 

@@ -215,13 +215,40 @@ def _logistic_moments(tau1: float, gamma: float, a: float, b: float):
     return m1, m1 - (f_b - f_a) / gamma
 
 
+def _exponential_series(x: float):
+    """h(x) = int_0^x (1 - exp(-t^2)) dt and h2(x) = int_0^x (1 - exp(-t^2))^2
+    dt by their Taylor series, for |x| < 1.  Term k >= 1 of h is (-1)^(k+1)
+    x^(2k+1) / (k! (2k+1)), and h2's is -(2^k - 2) times it, from (1 -
+    e^-s)^2 = sum_{k>=2} (-1)^k (2^k - 2) s^k / k!.  Summed until neither
+    sum changes."""
+    x2 = x * x
+    power, k, h, h2 = x * x2, 1, 0.0, 0.0  # power: (-1)^(k+1) x^(2k+1) / k!
+    while True:
+        term = power / (2 * k + 1)
+        h_next, h2_next = h + term, h2 - (2.0**k - 2.0) * term
+        if h_next == h and h2_next == h2:
+            return h, h2
+        h, h2, k = h_next, h2_next, k + 1
+        power *= -x2 / k
+
+
 def _exponential_moments(tau1: float, gamma: float, a: float, b: float):
     """int_a^b F and int_a^b F^2 of the exponential transition: with u = x -
     tau1, F^2 = 1 - 2 exp(-gamma u^2) + exp(-2 gamma u^2), and int exp(-c u^2)
-    = sqrt(pi / c) erf(sqrt(c) u) / 2."""
+    = sqrt(pi / c) erf(sqrt(c) u) / 2.
+
+    Those forms are (b - a) less an O(1) erf term, and lose about 1e-16 /
+    (gamma u^2) relative.  So where gamma < 1 and x = sqrt(gamma) u lies in
+    (-1, 1) at both ends (every interval of [0, 1] at such a slope), both
+    come from the series of ``_exponential_series``: int F = (h(x_b) -
+    h(x_a)) / sqrt(gamma), and likewise with h2."""
     root, root2 = math.sqrt(gamma), math.sqrt(2.0 * gamma)
+    x_a, x_b = root * (a - tau1), root * (b - tau1)
+    if gamma < 1.0 and abs(x_a) < 1.0 and abs(x_b) < 1.0:
+        (h_a, h2_a), (h_b, h2_b) = _exponential_series(x_a), _exponential_series(x_b)
+        return (h_b - h_a) / root, (h2_b - h2_a) / root
     half = 0.5 * math.sqrt(math.pi / gamma)
-    e1 = math.erf(root * (b - tau1)) - math.erf(root * (a - tau1))
+    e1 = math.erf(x_b) - math.erf(x_a)
     e2 = math.erf(root2 * (b - tau1)) - math.erf(root2 * (a - tau1))
     m1 = (b - a) - half * e1
     return m1, (b - a) - 2.0 * half * e1 + half / math.sqrt(2.0) * e2

@@ -1,8 +1,11 @@
 """Numeric referees for the closed-form integrals: the graded Gauss-Legendre
 rule of ``asymptotics.drift_quadrature`` over any interval, on a vectorised
-integrand, and scipy's adaptive quadrature, which only the tests import."""
+integrand, and scipy's adaptive quadrature, which only the tests import;
+and decimal referees for relative errors, of the limit law's tail and the
+exponential transition's moments."""
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 from scipy.integrate import quad
@@ -38,3 +41,55 @@ def adaptive(fn, lo: float, hi: float, centre: float) -> float:
     """int_lo^hi fn (scalar) by QUADPACK, split at centre."""
     points = [centre] if lo < centre < hi else None
     return quad(fn, lo, hi, points=points, epsabs=1e-13, epsrel=1e-13, limit=200)[0]
+
+
+# Referees in decimal arithmetic, for relative errors: at this many digits
+# they keep about 40 after the cancellations that the float forms avoid.
+DIGITS = 60
+PI = Decimal("3.141592653589793238462643383279502884197169399375105820974944592307816")
+
+
+def decimal_tail(z: float) -> Decimal:
+    """1 - F(z) = 2 sum_{k>=1} (-1)^(k+1) exp(-2 k^2 z^2) of the sup-|bridge|
+    law, summed until the terms fall below 1e-(DIGITS + 5) of the sum."""
+    with localcontext() as context:
+        context.prec = DIGITS
+        z2, total, k = Decimal(z) ** 2, Decimal(0), 1
+        while True:
+            term = (-2 * k * k * z2).exp()
+            if term < Decimal(10) ** -(DIGITS + 5) * total:
+                return 2 * total
+            total += term if k % 2 else -term
+            k += 1
+
+
+def decimal_erf(x: Decimal) -> Decimal:
+    """erf x = 2 / sqrt(pi) sum_n (-1)^n x^(2n+1) / (n! (2n+1)), by its Taylor
+    series.  Its terms grow to about exp(x^2) before they fall, so the sum
+    carries x^2 / 2 more digits than the caller's context: for |x| up to
+    about 10."""
+    with localcontext() as context:
+        context.prec += int(x * x / 2) + 5
+        term, total, n = x, x, 0  # term: (-1)^n x^(2n+1) / n!
+        while abs(term) > Decimal(10) ** -(DIGITS + 10) * abs(total) or n < 2:
+            n += 1
+            term *= -x * x / n
+            total += term / (2 * n + 1)
+        erf = 2 * total / PI.sqrt()
+    return +erf
+
+
+def decimal_exponential_moments(tau1: float, gamma: float, a: float, b: float):
+    """(int_a^b F, int_a^b F^2) of the exponential transition F = 1 -
+    exp(-gamma (x - tau1)^2), from the erf forms, whose cancellation the
+    decimal digits absorb."""
+    with localcontext() as context:
+        context.prec = DIGITS
+        g, lo, hi = Decimal(gamma), Decimal(a) - Decimal(tau1), Decimal(b) - Decimal(tau1)
+
+        def gauss_integral(c):  # int_lo^hi exp(-c u^2) du
+            root = c.sqrt()
+            return PI.sqrt() / (2 * root) * (decimal_erf(root * hi) - decimal_erf(root * lo))
+
+        width = Decimal(b) - Decimal(a)
+        return width - gauss_integral(g), width - 2 * gauss_integral(g) + gauss_integral(2 * g)

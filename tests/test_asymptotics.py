@@ -3,6 +3,7 @@ process diagnostics."""
 
 import functools
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -20,7 +21,8 @@ from meanbreak.asymptotics import (
     wn_path,
 )
 from meanbreak.signals import SigmaSpec, TransitionSpec, ergodic_variance_limit, transition
-from referee import GAMMAS, QUAD_MAX_GAMMA, adaptive, gauss, graded, layer_width
+from referee import (GAMMAS, QUAD_MAX_GAMMA, adaptive, decimal_exponential_moments, gauss,
+                     graded, layer_width)
 
 
 class TestDriftQuadrature:
@@ -183,6 +185,26 @@ class TestClosedForms:
                 mean = adaptive(f, 0.0, 1.0, tau1)
                 reference = np.array([adaptive(f, 0.0, t, tau1) - t * mean for t in grid])
                 assert np.abs(values - reference).max() <= 1e-12
+
+    @pytest.mark.parametrize("gamma", [1e-15, 1e-12, 1e-8, 1e-4, 1e-2, 0.1, 0.5, 0.999])
+    def test_exponential_small_slopes_against_decimal(self, gamma):
+        # Relative to |int_0^tau F| + tau |int_0^1 F|, the size of the two
+        # terms whose difference T is: at most 2.1e-15 on this grid.
+        for tau1 in (0.05, 0.37, 0.5, 0.95):
+            whole = decimal_exponential_moments(tau1, gamma, 0.0, 1.0)[0]
+            for tau in np.linspace(0.05, 0.95, 19).tolist():
+                part = decimal_exponential_moments(tau1, gamma, 0.0, tau)[0]
+                exact = part - Decimal(tau) * whole
+                got = drift_closed_exponential(tau1, gamma, tau)
+                assert abs(Decimal(got) - exact) / (part + Decimal(tau) * whole) <= 4e-15, tau
+
+    def test_exponential_drift_at_tiny_slope(self):
+        # T = gamma / 64 - 3 gamma^2 / 2048 + O(gamma^3) here, from F = gamma
+        # u^2 - gamma^2 u^4 / 2 + ...; the erf form returned 0.0 at 1e-15, and
+        # 1.56249985e-10 at 1e-8.
+        for gamma in (1e-15, 1e-8):
+            got = drift_closed_exponential(0.5, gamma, 0.25)
+            assert got == pytest.approx(gamma / 64 - 3 * gamma**2 / 2048, rel=1e-14, abs=0.0)
 
     def test_nondegenerate_drift(self):
         grid = np.linspace(0.01, 0.99, 99)

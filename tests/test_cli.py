@@ -52,6 +52,19 @@ class TestQuantileAndPvalue:
         assert code == 0
         assert out.strip() == "1.0000000"
 
+    @pytest.mark.parametrize("z, text", [
+        ("1.359", "0.0497557"),
+        ("2.8", "0.0000003"),
+        # 7 decimals would print these as 0.0000000.
+        ("3", "3.045996e-08"),
+        ("4", "2.532833e-14"),
+        ("5", "3.857500e-22"),
+    ])
+    def test_pvalue_prints_seven_decimals_or_significant_digits(self, capsys, z, text):
+        code, out, _ = run_cli(capsys, "pvalue", z)
+        assert code == 0
+        assert out.strip() == text
+
     def test_pvalue_nan_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "pvalue", "nan")
         assert code == 2
@@ -436,6 +449,17 @@ class TestCmdTest:
         doc = json.loads(out)
         assert doc["underflow"] is True
         assert doc["p_value"] == 0.0
+
+    def test_small_pvalue_printed_in_significant_digits(self, tmp_path, capsys):
+        # A step of 20 zeros and 20 ones: statistic sqrt(10), p = 4.1e-9,
+        # above the 1e-12 floor and below what 7 decimals show.
+        f = tmp_path / "step.txt"
+        f.write_text("0\n" * 20 + "1\n" * 20)
+        code, out, _ = run_cli(capsys, "test", str(f))
+        assert code == 0
+        p = core.lm_test(np.repeat([0.0, 1.0], 20)).p_value
+        assert 1e-12 < p < 5e-8
+        assert f"p-value:     {p:.6e}\n" in out
 
     def test_variance_past_float_range_is_null_in_json(self, tmp_path, capsys):
         # sigma2_hat overflows to inf, which strict JSON cannot hold.

@@ -467,3 +467,22 @@ class TestExactOracle:
         runner_up = max(square for k, square in enumerate(squares) if k != first)
         if 1.0 - math.sqrt(runner_up / top) > 1e-12:  # exact ties may go either way
             assert outcome.break_index == first
+
+    # The integer sum is exact, so mu_hat is the correctly rounded mean.
+    # sigma2_hat's largest error over 60,000 seeded series of this grid was
+    # 0.80 n ulps (12.1 ulps), from the rounded mean, squares and sum.
+    @given(ys=st.lists(st.integers(min_value=-50, max_value=50), min_size=2, max_size=200)
+           .filter(lambda ys: len(set(ys)) > 1))
+    @example(ys=[1] + [0] * 30)
+    @example(ys=[-11, 48, 48])
+    @settings(max_examples=200, deadline=None)
+    def test_mean_and_variance(self, ys):
+        n = len(ys)
+        mean = Fraction(sum(ys), n)
+        variance = sum((v - mean) ** 2 for v in ys) / n
+        y = np.array(ys, dtype=float)
+        outcome, estimates = lm_test(y), null_estimates(y)
+        for mu_hat, sigma2_hat in ((outcome.mu_hat, outcome.sigma2_hat),
+                                   (estimates.mu_hat, estimates.sigma2_hat)):
+            assert abs(Fraction(mu_hat) - mean) <= Fraction(math.ulp(float(mean))) / 2
+            assert abs(Fraction(sigma2_hat) - variance) <= n * Fraction(math.ulp(float(variance)))

@@ -1,12 +1,15 @@
 """Tests for the sup-absolute-Brownian-bridge limit law."""
 
 import math
+import sys
+from decimal import Decimal
 
 import numpy as np
 import pytest
 
 from meanbreak import dist
 from meanbreak.dist import bridge_sup_cdf, bridge_sup_quantile, p_value
+from referee import decimal_tail
 
 
 def written_out(z, density=False):
@@ -132,6 +135,65 @@ class TestCdf:
             bridge_sup_cdf(math.nan)
 
 
+def terms_added(z):
+    """The terms the written-out walk adds, with its tolerance checks."""
+    if z < 0.04:
+        return 0
+    if z < 0.5:
+        factor = math.sqrt(2.0 * math.pi) / z
+        for k in range(1, 101):
+            if factor * math.exp(-((2 * k - 1) ** 2 * math.pi**2 / (8.0 * z * z))) < 1e-15:
+                return k
+    for k in range(1, 101):
+        if 2.0 * math.exp(-2.0 * (k + 1) ** 2 * z * z) < 1e-15:
+            return k
+
+
+class TestWalks:
+    """Each walk stops at a precomputed point, computes no term it does not
+    add, and ends inside its table."""
+
+    def test_stops_are_the_tolerance_boundaries(self):
+        # Term k's stop is where the walk, written with its tolerance check,
+        # would find term k + 1 below the tolerance.
+        for k, entry in enumerate(dist._ALTERNATING, start=1):
+            stop, following = entry[-1], -2.0 * (k + 1) ** 2
+            # A few nextafter steps from the analytic root.
+            assert stop == pytest.approx(math.sqrt(math.log(5e-16) / following), rel=1e-15)
+            z = stop
+            for _ in range(256):
+                z = math.nextafter(z, 0.0)
+            for _ in range(513):
+                below = 2.0 * math.exp(following * z * z) < dist._TRUNCATION_TOLERANCE
+                assert (z >= stop) == below, (k, z)
+                z = math.nextafter(z, math.inf)
+
+    def test_no_walk_runs_off_its_table(self):
+        # Every z >= 0.5 stops at the last alternating term or before it,
+        # and z = 0.5 reaches it.
+        stops = [entry[-1] for entry in dist._ALTERNATING]
+        assert stops[-1] <= 0.5 < stops[-2]
+        # The theta terms rise with z below 0.5, and at its float below the
+        # last is under the tolerance while the one before it is not.
+        z = math.nextafter(0.5, 0.0)
+        factor = math.sqrt(2.0 * math.pi) / z
+        terms = [factor * math.exp(-(c / (8.0 * z * z))) for c in dist._THETA]
+        assert terms[-1] < dist._TRUNCATION_TOLERANCE <= terms[-2]
+        for z in written_out_grid():
+            assert terms_added(z) <= len(dist._THETA if z < 0.5 else dist._ALTERNATING), z
+
+    @pytest.mark.parametrize("density", [False, True])
+    def test_every_exp_is_an_added_term(self, monkeypatch, density):
+        stops = [entry[-1] for entry in dist._ALTERNATING]
+        edges = stops + [math.nextafter(stop, 0.0) for stop in stops]
+        calls = []
+        monkeypatch.setattr(dist, "exp", lambda x: calls.append(x) or math.exp(x))
+        for z in written_out_grid()[::50] + edges:
+            calls.clear()
+            dist._cdf(z, density)
+            assert len(calls) == terms_added(z), z
+
+
 class TestPValue:
     def test_zero_statistic(self):
         assert p_value(0.0) == 1.0
@@ -154,9 +216,35 @@ class TestPValue:
             p_value(math.nan)
 
     def test_same_bits_as_clamped_complement(self):
-        # 1 - F clamped to [0, 1] by the builtins, as first written.
+        # 1 - F clamped to [0, 1] by the builtins, as first written, below
+        # the tail's first term.
         for z in written_out_grid():
-            assert p_value(z).hex() == min(max(1.0 - written_out(z), 0.0), 1.0).hex(), z
+            if z < 2.3:
+                assert p_value(z).hex() == min(max(1.0 - written_out(z), 0.0), 1.0).hex(), z
+
+    @pytest.mark.parametrize("lo, hi, bound", [
+        (0.3, 1.9, 1e-13),
+        # The rounding of F near 1, against p >= 5.07e-5 here: at most
+        # 3.4e-12 on 3000 seeded points.
+        (1.9, 2.3, 3.5e-12),
+        (2.3, 5.0, 2e-14),
+        # -2 z z rounds to within 0.5 ulp, up to 5.7e-14 at z = 18.8, where
+        # p is the smallest normal float.
+        (5.0, 18.8, 6e-14),
+    ])
+    def test_relative_error_against_decimal_series(self, lo, hi, bound):
+        rng = np.random.default_rng(37)
+        grid = rng.uniform(lo, hi, 400).tolist() + [lo, math.nextafter(hi, 0.0)]
+        for z in grid:
+            exact = decimal_tail(z)
+            assert abs((Decimal(p_value(z)) - exact) / exact) <= bound, z
+
+    def test_tail_is_not_lost_to_cancellation(self):
+        # 1 - F kept 3 digits of p(4) and none of p(4.5) (true values from
+        # the decimal series).
+        assert p_value(4.0) == pytest.approx(2.5328331098e-14, rel=1e-9)
+        assert p_value(4.5) == pytest.approx(5.1535142183e-18, rel=1e-9)
+        assert 0.0 < p_value(19.0) < sys.float_info.min
 
 
 class TestQuantile:

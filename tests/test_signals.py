@@ -5,6 +5,7 @@ import hashlib
 import math
 import tracemalloc
 import zlib
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -22,7 +23,8 @@ from meanbreak.signals import (
     sigma_path,
     transition,
 )
-from referee import GAMMAS, QUAD_MAX_GAMMA, adaptive, graded, layer_width
+from referee import (GAMMAS, QUAD_MAX_GAMMA, adaptive, decimal_exponential_moments, graded,
+                     layer_width)
 
 
 PATH_SIZES = (30, 100, 500, 1000, 100_000)
@@ -394,6 +396,26 @@ class TestTransitionMoments:
                 assert abs(m2 - adaptive(f2, a, b, 0.37)) <= 1e-12
 
 
+    # Below a slope of 1 the moments come from Taylor series; their largest
+    # relative error on this grid is 3.6e-15.
+    @pytest.mark.parametrize("gamma", [1e-15, 1e-12, 1e-8, 1e-4, 1e-2, 0.1, 0.5, 0.999])
+    def test_exponential_small_slopes_against_decimal(self, gamma):
+        intervals = [(0.0, t) for t in np.linspace(0.05, 1.0, 20).tolist()] + [(0.3, 0.7)]
+        for tau1 in (0.05, 0.37, 0.5, 0.95):
+            for a, b in intervals:
+                got = signals._exponential_moments(tau1, gamma, a, b)
+                want = decimal_exponential_moments(tau1, gamma, a, b)
+                for value, exact in zip(got, want):
+                    assert abs(Decimal(value) - exact) / exact <= 8e-15, (tau1, a, b)
+
+    def test_exponential_square_integral_positive_at_tiny_slope(self):
+        # The erf form gave int F^2 = -2.8e-17 here.  F = gamma u^2 + O(gamma^2)
+        # with u = x - 1/2, whose integrals over [0, 1/4] are 7/192 and 31/5120.
+        m1, m2 = signals._exponential_moments(0.5, 1e-12, 0.0, 0.25)
+        assert m1 == pytest.approx(1e-12 * 7 / 192, rel=1e-11, abs=0.0)
+        assert m2 == pytest.approx(1e-24 * 31 / 5120, rel=1e-11, abs=0.0)
+
+
 class TestGaussianStream:
     def test_deterministic(self):
         np.testing.assert_array_equal(gaussian_stream(42, 10), gaussian_stream(42, 10))
@@ -481,6 +503,44 @@ class TestBulkStream:
             assert rows.shape == (len(reps), n)
             for row, r in zip(rows, reps):
                 np.testing.assert_array_equal(row, gaussian_stream((7, 4, n, r), n))
+
+
+class TestNumpyStreamCanary:
+    """The goldens, the recorded-bit tests and criteria 3 and 4 rest on
+    numpy's Philox normals and SeedSequence hash, which numpy does not promise
+    to keep across releases.  This test names the cause when they move."""
+
+    GOLDEN_NUMPY = "2.4.6"  # the numpy that made perfbench/golden
+    RECORDED = {
+        "gaussian_stream(1, 3)": ["0x1.1f770eb46c185p-1", "-0x1.ec83148196d89p-1",
+                                  "0x1.9fd3e97ae4b34p-6"],
+        "gaussian_stream((3001, 1, 30, 7), 3)": ["0x1.040ef9c9ff6e6p+0", "0x1.9044f21b8ab9dp-1",
+                                                 "0x1.40690fed558e2p-2"],
+        "noise_blocks((1, 9, 4), range(2), 4)[::3]": ["-0x1.c947ca51be4b8p-1",
+                                                      "-0x1.3f431e70ac70fp+0",
+                                                      "-0x1.66e33f2206ff2p+0"],
+        "_philox_keys((1, 9, 4), range(2))": [[5359937455198553628, 8742076139126112271],
+                                              [13670185400800125170, 16973953064567729474]],
+    }
+
+    def test_stream_is_the_goldens_stream(self):
+        (block,) = signals.noise_blocks((1, 9, 4), range(2), 4)
+        keys = signals._philox_keys((1, 9, 4), range(2)).tolist()
+        got = {
+            "gaussian_stream(1, 3)": [v.hex() for v in gaussian_stream(1, 3).tolist()],
+            "gaussian_stream((3001, 1, 30, 7), 3)":
+                [v.hex() for v in gaussian_stream((3001, 1, 30, 7), 3).tolist()],
+            "noise_blocks((1, 9, 4), range(2), 4)[::3]":
+                [v.hex() for v in block.ravel()[::3].tolist()],
+            "_philox_keys((1, 9, 4), range(2))": keys,
+        }
+        seed_sequence = [np.random.SeedSequence([1, 9, 4, r]).generate_state(2, np.uint64).tolist()
+                         for r in range(2)]
+        assert got == self.RECORDED and keys == seed_sequence, (
+            f"numpy {np.__version__} draws another stream than numpy {self.GOLDEN_NUMPY}, which"
+            " made the goldens under perfbench/golden: if numpy changed its Philox normals or"
+            " SeedSequence, regenerate every golden with perfbench/make_golden.py as a declared"
+            " change")
 
 
 class TestGenerateSeries:
