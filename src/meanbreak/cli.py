@@ -24,14 +24,15 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DATA = 3
 
-PVALUE_FLOOR = 1e-12
-
 
 def _p_text(p: float) -> str:
     """p to 7 decimals, or to 7 significant digits where 7 decimals would
-    print a positive p as 0."""
+    print it as 0.  Below the smallest normal float, where ``dist.p_value``
+    no longer holds its relative error, the bound ``< 2.225074e-308``."""
+    if p < sys.float_info.min:
+        return f"< {sys.float_info.min:.6e}"
     text = f"{p:.7f}"
-    return f"{p:.6e}" if p > 0.0 and float(text) == 0.0 else text
+    return f"{p:.6e}" if float(text) == 0.0 else text
 
 
 def _value_list(raw: str, convert) -> list:
@@ -79,12 +80,9 @@ def cmd_test(args) -> int:
     except core.DegenerateSeriesError as exc:
         raise DataError(f"{args.file}: {exc}") from exc
 
-    break_date = (
-        rows.date(shift + outcome.break_index - 1)
-        if 0 < outcome.break_index <= len(series)
-        else None
-    )
-    underflow = outcome.p_value < PVALUE_FLOOR
+    break_date = rows.date(shift + outcome.break_index - 1)
+    p_text = _p_text(outcome.p_value)
+    underflow = p_text.startswith("<")  # p is below what p_value resolves
     if args.format == "json":
         doc = {
             "n": len(series),
@@ -104,7 +102,6 @@ def cmd_test(args) -> int:
         where = f"{outcome.break_index}"
         if break_date:
             where += f" ({break_date})"
-        p_text = f"< {PVALUE_FLOOR:g}" if underflow else _p_text(outcome.p_value)
         print(f"n:           {len(series)}")
         print(f"mean:        {outcome.mu_hat:.10g}")
         print(f"variance:    {outcome.sigma2_hat:.10g}")

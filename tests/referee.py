@@ -2,10 +2,10 @@
 rule of ``asymptotics.drift_quadrature`` over any interval, on a vectorised
 integrand, and scipy's adaptive quadrature, which only the tests import;
 and decimal referees for relative errors, of the limit law's tail and the
-exponential transition's moments."""
+transitions' moments."""
 
 import math
-from decimal import Decimal, localcontext
+from decimal import MAX_EMAX, MIN_EMIN, Decimal, localcontext
 
 import numpy as np
 from scipy.integrate import quad
@@ -63,6 +63,22 @@ def decimal_tail(z: float) -> Decimal:
             k += 1
 
 
+def decimal_cdf(z: float) -> Decimal:
+    """F(z) of the sup-|bridge| law by its theta series, sqrt(2 pi) / z
+    sum_{k>=1} exp(-(2k - 1)^2 pi^2 / (8 z^2)), summed until the terms fall
+    below 1e-(DIGITS + 5) of the sum.  It converges at every z > 0, in
+    fewer than 30 terms up to z = 5."""
+    with localcontext() as context:
+        context.prec = DIGITS
+        scale, total, k = PI * PI / (8 * Decimal(z) ** 2), Decimal(0), 1
+        while True:
+            term = (-(2 * k - 1) ** 2 * scale).exp()
+            if term < Decimal(10) ** -(DIGITS + 5) * total:
+                return (2 * PI).sqrt() / Decimal(z) * total
+            total += term
+            k += 1
+
+
 def decimal_erf(x: Decimal) -> Decimal:
     """erf x = 2 / sqrt(pi) sum_n (-1)^n x^(2n+1) / (n! (2n+1)), by its Taylor
     series.  Its terms grow to about exp(x^2) before they fall, so the sum
@@ -93,3 +109,33 @@ def decimal_exponential_moments(tau1: float, gamma: float, a: float, b: float):
 
         width = Decimal(b) - Decimal(a)
         return width - gauss_integral(g), width - 2 * gauss_integral(g) + gauss_integral(2 * g)
+
+
+def decimal_logistic_moments(tau1: float, gamma: float, a: float, b: float):
+    """(int_a^b F, int_a^b F^2) of the logistic transition F = 1 / (1 +
+    exp(-z)), z = gamma (x - tau1): int F is the softplus difference over
+    gamma, and int F^2 = int F - (F(b) - F(a)) / gamma.  The exponent range
+    is widened, so w = e^(-|z|) does not underflow at any slope.  Where z <
+    0 and w = e^z is below 1e-10, softplus(z) = log1p(w) and softplus(z) -
+    F(z) = log1p(w) - w / (1 + w), which cancels down to w^2 / 2, are summed
+    as their series, sum_k (-1)^(k+1) w^k / k and sum_{k>=2} (-1)^k (k - 1)
+    w^k / k."""
+    with localcontext() as context:
+        context.prec, context.Emax, context.Emin = DIGITS, MAX_EMAX, MIN_EMIN
+        g = Decimal(gamma)
+
+        def ends(x):  # (softplus(z), softplus(z) - F(z)) at z = gamma (x - tau1)
+            z = g * (Decimal(x) - Decimal(tau1))
+            w = (-abs(z)).exp()
+            if z < 0 and w < Decimal("1e-10"):
+                soft = square = Decimal(0)
+                for k in range(1, DIGITS // 10 + 3):  # to w^8: w^7 < 1e-70
+                    term = (-1) ** (k + 1) * w**k / k
+                    soft += term
+                    square -= (k - 1) * term
+                return soft, square
+            soft = max(z, Decimal(0)) + (1 + w).ln()
+            return soft, soft - (1 if z >= 0 else w) / (1 + w)
+
+        (soft_a, square_a), (soft_b, square_b) = ends(a), ends(b)
+        return (soft_b - soft_a) / g, (square_b - square_a) / g

@@ -21,8 +21,8 @@ from meanbreak.asymptotics import (
     wn_path,
 )
 from meanbreak.signals import SigmaSpec, TransitionSpec, ergodic_variance_limit, transition
-from referee import (GAMMAS, QUAD_MAX_GAMMA, adaptive, decimal_exponential_moments, gauss,
-                     graded, layer_width)
+from referee import (GAMMAS, QUAD_MAX_GAMMA, adaptive, decimal_exponential_moments,
+                     decimal_logistic_moments, gauss, graded, layer_width)
 
 
 class TestDriftQuadrature:
@@ -197,6 +197,20 @@ class TestClosedForms:
                 exact = part - Decimal(tau) * whole
                 got = drift_closed_exponential(tau1, gamma, tau)
                 assert abs(Decimal(got) - exact) / (part + Decimal(tau) * whole) <= 4e-15, tau
+
+    @pytest.mark.parametrize("gamma", GAMMAS)
+    def test_logistic_against_decimal(self, gamma):
+        # Relative to |int_0^tau F| + tau |int_0^1 F|, as above: at most 7.6e-16
+        # on this grid.  Relative to T itself the error grows as 1e-16 / gamma
+        # below gamma = 1 (18 at 1e-15), where F is near 1/2 and T is the
+        # difference of two terms of about tau / 2.
+        for tau1 in (0.05, 0.37, 0.5, 0.95):
+            whole = decimal_logistic_moments(tau1, gamma, 0.0, 1.0)[0]
+            for tau in np.linspace(0.05, 0.95, 19).tolist():
+                part = decimal_logistic_moments(tau1, gamma, 0.0, tau)[0]
+                exact = part - Decimal(tau) * whole
+                got = drift_closed_logistic(tau1, gamma, tau)
+                assert abs(Decimal(got) - exact) / (part + Decimal(tau) * whole) <= 1e-15, tau
 
     def test_exponential_drift_at_tiny_slope(self):
         # T = gamma / 64 - 3 gamma^2 / 2048 + O(gamma^3) here, from F = gamma

@@ -59,6 +59,10 @@ class TestQuantileAndPvalue:
         ("3", "3.045996e-08"),
         ("4", "2.532833e-14"),
         ("5", "3.857500e-22"),
+        # The last normal p; past it p_value holds few bits, or none.
+        ("18.8", "2.027434e-307"),
+        ("19.3", "< 2.225074e-308"),
+        ("20", "< 2.225074e-308"),
     ])
     def test_pvalue_prints_seven_decimals_or_significant_digits(self, capsys, z, text):
         code, out, _ = run_cli(capsys, "pvalue", z)
@@ -443,7 +447,7 @@ class TestCmdTest:
         f.write_text("\n".join(f"{float(v)!r}" for v in y) + "\n")
         code, out, _ = run_cli(capsys, "test", str(f), "--abs")
         assert code == 0
-        assert "< 1e-12" in out
+        assert "p-value:     < 2.225074e-308\n" in out
         assert "reject" in out and "fail to reject" not in out
         code, out, _ = run_cli(capsys, "test", str(f), "--abs", "--format", "json")
         doc = json.loads(out)
@@ -452,7 +456,7 @@ class TestCmdTest:
 
     def test_small_pvalue_printed_in_significant_digits(self, tmp_path, capsys):
         # A step of 20 zeros and 20 ones: statistic sqrt(10), p = 4.1e-9,
-        # above the 1e-12 floor and below what 7 decimals show.
+        # below what 7 decimals show.
         f = tmp_path / "step.txt"
         f.write_text("0\n" * 20 + "1\n" * 20)
         code, out, _ = run_cli(capsys, "test", str(f))
@@ -460,6 +464,26 @@ class TestCmdTest:
         p = core.lm_test(np.repeat([0.0, 1.0], 20)).p_value
         assert 1e-12 < p < 5e-8
         assert f"p-value:     {p:.6e}\n" in out
+
+    def test_tiny_normal_pvalue_printed_as_pvalue_prints_it(self, tmp_path, capsys):
+        # p = 1.28e-14, above the smallest normal float: its digits, the
+        # same text in test and pvalue, and no underflow in the JSON.
+        rng = np.random.default_rng(3)
+        y = 0.5 * rng.standard_normal(200)
+        y[100:] += 0.6
+        f = tmp_path / "step.txt"
+        f.write_text("\n".join(f"{float(v)!r}" for v in y) + "\n")
+        code, out, _ = run_cli(capsys, "test", str(f), "--format", "json")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["p_value"] == core.lm_test(y).p_value
+        assert doc["underflow"] is False
+        code, out, _ = run_cli(capsys, "test", str(f))
+        assert code == 0
+        line = next(row for row in out.splitlines() if row.startswith("p-value:"))
+        code, printed, _ = run_cli(capsys, "pvalue", repr(doc["statistic"]))
+        assert code == 0
+        assert line == f"p-value:     {printed.strip()}" == "p-value:     1.277169e-14"
 
     def test_variance_past_float_range_is_null_in_json(self, tmp_path, capsys):
         # sigma2_hat overflows to inf, which strict JSON cannot hold.

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import math
+import sys
 import tracemalloc
 import zlib
 from decimal import Decimal
@@ -23,8 +24,8 @@ from meanbreak.signals import (
     sigma_path,
     transition,
 )
-from referee import (GAMMAS, QUAD_MAX_GAMMA, adaptive, decimal_exponential_moments, graded,
-                     layer_width)
+from referee import (GAMMAS, QUAD_MAX_GAMMA, adaptive, decimal_exponential_moments,
+                     decimal_logistic_moments, graded, layer_width)
 
 
 PATH_SIZES = (30, 100, 500, 1000, 100_000)
@@ -407,6 +408,26 @@ class TestTransitionMoments:
                 want = decimal_exponential_moments(tau1, gamma, a, b)
                 for value, exact in zip(got, want):
                     assert abs(Decimal(value) - exact) / exact <= 8e-15, (tau1, a, b)
+
+    # Against the decimal referee on the intervals above; a value below the
+    # smallest normal float counts against that float.  int F: at most
+    # 8.1e-14 relative, from the rounding of gamma (x - tau1) where F ~ e^z
+    # is far below 1/2 (gamma = 1e3).  int F^2 = int F - (F(b) - F(a)) /
+    # gamma: at most 1.9e-15 of int F, the size of its two terms.  Its own
+    # relative error is not bounded where F is small: 1.3e-6 at gamma = 20
+    # on [-6, -1], and it reads 0.0 for 3.3e-36 (gamma = 20, tau1 = 0.95)
+    # and for 5.6e-282 (gamma = 1e3 on [0, 0.05]).
+    @pytest.mark.parametrize("gamma", GAMMAS)
+    def test_logistic_against_decimal(self, gamma):
+        unit = [(0.0, t) for t in np.linspace(0.05, 1.0, 20).tolist()]
+        tiny = Decimal(sys.float_info.min)
+        for tau1 in (0.05, 0.37, 0.5, 0.95):
+            for a, b in unit + [(-3.0, 2.5), (-6.0, -1.0), (0.5, 4.0), (0.2, 0.2)]:
+                m1, m2 = signals._logistic_moments(tau1, gamma, a, b)
+                want1, want2 = decimal_logistic_moments(tau1, gamma, a, b)
+                scale = max(want1, tiny)
+                assert abs(Decimal(m1) - want1) / scale <= 1e-13, (tau1, a, b)
+                assert abs(Decimal(m2) - want2) / scale <= 2e-15, (tau1, a, b)
 
     def test_exponential_square_integral_positive_at_tiny_slope(self):
         # The erf form gave int F^2 = -2.8e-17 here.  F = gamma u^2 + O(gamma^2)
