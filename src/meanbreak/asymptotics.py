@@ -96,15 +96,19 @@ def drift_quadrature(spec: TransitionSpec, tau: float) -> float:
     return cumulative[i] + partial - tau * cumulative[-1]
 
 
-def _closed_drift(moments, tau1: float, gamma: float, tau: float) -> float:
-    """T(tau) from the transition's ``moments``, with the domain checks of
-    ``TransitionSpec`` and ``drift_quadrature``."""
+def _check_drift(tau1: float, gamma: float, tau: float) -> None:
+    """The domain checks of ``TransitionSpec`` and ``drift_quadrature``."""
     if not 0.0 < gamma < math.inf:
         raise ValueError(f"gamma must be positive and finite, got {gamma}")
     if not 0.0 < tau1 < 1.0:
         raise ValueError(f"tau1 must lie in (0, 1), got {tau1}")
     if not 0.0 <= tau <= 1.0:
         raise ValueError(f"tau must lie in [0, 1], got {tau}")
+
+
+def _closed_drift(moments, tau1: float, gamma: float, tau: float) -> float:
+    """T(tau) from the transition's ``moments``, after the domain checks."""
+    _check_drift(tau1, gamma, tau)
     return moments(tau1, gamma, 0.0, tau)[0] - tau * moments(tau1, gamma, 0.0, 1.0)[0]
 
 
@@ -112,9 +116,18 @@ def drift_closed_logistic(tau1: float, gamma: float, tau: float) -> float:
     """Closed-form T(tau) for the logistic transition.
 
     Uses int_0^tau F = (softplus(gamma (tau - tau1)) - softplus(-gamma tau1))
-    / gamma, in a form that cannot overflow at any slope.
+    / gamma, in a form that cannot overflow at any slope.  Below gamma = 1,
+    where F is near 1/2 and those integrals of about tau / 2 would cancel to
+    T ~ gamma tau (tau - 1) / 8, it integrates F - 1/2 = tanh(z / 2) / 2
+    instead, z = gamma (x - tau1): T = (L(z_tau) - L(z_0) - tau (L(z_1) -
+    L(z_0))) / gamma with L(z) = log cosh(z / 2) = log1p(2 sinh(z / 4)^2).
     """
-    return _closed_drift(signals._logistic_moments, tau1, gamma, tau)
+    if not gamma < 1.0:
+        return _closed_drift(signals._logistic_moments, tau1, gamma, tau)
+    _check_drift(tau1, gamma, tau)
+    at_0, at_tau, at_1 = (math.log1p(2.0 * math.sinh(0.25 * gamma * (x - tau1)) ** 2)
+                          for x in (0.0, tau, 1.0))
+    return (at_tau - at_0 - tau * (at_1 - at_0)) / gamma
 
 
 def drift_closed_exponential(tau1: float, gamma: float, tau: float) -> float:

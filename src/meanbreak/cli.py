@@ -83,14 +83,19 @@ def cmd_test(args) -> int:
     break_date = rows.date(shift + outcome.break_index - 1)
     p_text = _p_text(outcome.p_value)
     underflow = p_text.startswith("<")  # p is below what p_value resolves
+    # By Cauchy-Schwarz the statistic is at most sqrt(floor(n/2) ceil(n/2) / n),
+    # which a two-level step at floor(n/2) attains: no smaller p is attainable.
+    n = len(series)
+    min_p = dist.p_value(math.sqrt(n // 2 * (n - n // 2) / n))
     if args.format == "json":
         doc = {
-            "n": len(series),
+            "n": n,
             "mu_hat": outcome.mu_hat,
             "sigma2_hat": outcome.sigma2_hat if math.isfinite(outcome.sigma2_hat) else None,
             "statistic": outcome.statistic,
             "p_value": 0.0 if underflow else outcome.p_value,
             "underflow": underflow,
+            "min_p_value": 0.0 if _p_text(min_p).startswith("<") else min_p,
             "break_index": outcome.break_index,
             "break_date": break_date,
             "alpha": outcome.alpha,
@@ -102,13 +107,15 @@ def cmd_test(args) -> int:
         where = f"{outcome.break_index}"
         if break_date:
             where += f" ({break_date})"
-        print(f"n:           {len(series)}")
+        print(f"n:           {n}")
         print(f"mean:        {outcome.mu_hat:.10g}")
         print(f"variance:    {outcome.sigma2_hat:.10g}")
         print(f"statistic:   {outcome.statistic:.7f}")
         print(f"p-value:     {p_text}")
         print(f"break index: {where}")
         print(f"decision:    {decision} no-change at alpha={outcome.alpha:g}")
+        if min_p >= outcome.alpha:
+            print(f"note:        no p-value below {_p_text(min_p)} is attainable with n = {n}")
     return EXIT_OK
 
 

@@ -2,9 +2,10 @@
 
 CDF F(z) = 1 + 2 * sum_{k>=1} (-1)^k exp(-2 k^2 z^2), the null limit law of
 the sup-CUSUM statistic.  The series converges extremely fast for z away
-from 0 (two terms give seven-digit accuracy at the usual critical values);
-for small z the equivalent theta-transformed series is used instead, where
-the plain form would need hundreds of terms.
+from 0 (two terms give seven-digit accuracy at the usual critical values).
+Below z = 0.5 the plain form would need up to hundreds of terms, so F is
+the first term of the equivalent theta-transformed series there, whose
+second term is below half an ulp of it.
 """
 
 from __future__ import annotations
@@ -15,11 +16,11 @@ from math import exp
 
 __all__ = ["bridge_sup_cdf", "p_value", "bridge_sup_quantile"]
 
-# The walks stop where their terms fall below this.
+# The alternating walk's stops are where its terms fall below this.
 _TRUNCATION_TOLERANCE = 1e-15
-# Below this z every theta term exp(-pi^2 / (8 z^2)) underflows to 0 (the
-# exponent is beyond -771), so the CDF is exactly 0.0; the series itself
-# would divide by zero once 8 z^2 underflows, near z = 1e-162.
+# Below this z the theta term exp(-pi^2 / (8 z^2)) underflows to 0 (the
+# exponent is beyond -771), so the CDF is exactly 0.0; the term itself would
+# divide by zero once 8 z^2 underflows, near z = 1e-162.
 _CDF_ZERO_BELOW = 0.04
 # From here on the p-value is the tail's first term (see p_value).
 _TAIL_FROM = 2.3
@@ -37,17 +38,15 @@ def _stop(following: float) -> float:
     return z
 
 
-# Per-term factors, computed once.  -2 k^2 and 4 k^2 are exact, and
-# (2k - 1)^2 pi^2 rounds once, as in the exponent written out in full, so
-# c * z * z and c / (8 z^2) round as the written-out exponents.
-# _ALTERNATING holds, per term k: 2 (-1)^k, which multiplies exactly, -2 k^2,
-# 4 k^2, and the stop: from there on term k + 1 is below the tolerance, so
-# the walk ends with term k.  The table ends at term 8, the last that z >= 0.5
-# reaches (its stop is 0.466).  _THETA ends at term 2, which is below the
-# tolerance at every z < 0.5.
+# Per-term factors, computed once.  _ALTERNATING holds, per term k: 2 (-1)^k,
+# which multiplies exactly, -2 k^2 and 4 k^2, exact too, so c * z * z rounds
+# as the exponent written out in full, and the stop: from there on term k + 1
+# is below the tolerance, so the walk ends with term k.  The table ends at
+# term 8, the last that z >= 0.5 reaches (its stop is 0.466).  _THETA is the
+# first theta term's pi^2.
 _ALTERNATING = [(2.0 if k % 2 == 0 else -2.0, -2.0 * k * k, 4.0 * k * k,
                  _stop(-2.0 * (k + 1) ** 2)) for k in range(1, 9)]
-_THETA = [(2 * k - 1) ** 2 * math.pi**2 for k in (1, 2)]
+_THETA = math.pi**2
 # Below this p (the smallest normal float) F resolves few bits of p.
 _SMALLEST_NORMAL = sys.float_info.min
 
@@ -62,30 +61,24 @@ def bridge_sup_cdf(z: float) -> float:
 
 
 def _cdf(z: float, density: bool = False):
-    """F(z), or (F(z), F'(z)) with ``density``: each series is walked once,
-    and F' is its term-by-term derivative from the same ``exp`` terms.  F's
-    additions are the same with or without the density, so F has the same
-    bits in both."""
+    """F(z), or (F(z), F'(z)) with ``density``: F' is the term-by-term
+    derivative of F's series, from the same ``exp`` terms.  F's additions
+    are the same with or without the density, so F has the same bits in
+    both."""
     if z < _CDF_ZERO_BELOW:
         return (0.0, 0.0) if density else 0.0
-    total = slope = 0.0
     if z < 0.5:
-        # The alternating series needs ~4/z terms at small z, so switch to
-        # the dual theta representation, which converges in a term or two
-        # there and keeps the CDF monotone all the way down to 0.
-        factor = math.sqrt(2.0 * math.pi) / z
-        scale = 8.0 * z * z
-        for coefficient in _THETA:
-            exponent = coefficient / scale
-            term = factor * exp(-exponent)
-            total += term
-            if density:
-                # d/dz (c / z) exp(-a / z^2) = (c / z) exp(-a / z^2) (2 a / z^2 - 1) / z
-                slope += term * (2.0 * exponent - 1.0) / z
-            if term < _TRUNCATION_TOLERANCE:
-                break
-        return (total, slope) if density else total
-    total = 1.0
+        # The alternating series needs ~4/z terms at small z, so use the
+        # dual theta series sqrt(2 pi) / z sum_k exp(-(2k - 1)^2 pi^2 / (8 z^2)).
+        # Its first term is exact in floats here: the second is at most
+        # exp(-pi^2 / z^2) < exp(-4 pi^2) of it, under half an ulp of F, and
+        # its derivative is under half an ulp of F' (0.82 of one at the float
+        # below 0.5), so adding either, both positive, rounds back.
+        exponent = _THETA / (8.0 * z * z)
+        term = math.sqrt(2.0 * math.pi) / z * exp(-exponent)
+        # d/dz (c / z) exp(-a / z^2) = (c / z) exp(-a / z^2) (2 a / z^2 - 1) / z
+        return (term, term * (2.0 * exponent - 1.0) / z) if density else term
+    total, slope = 1.0, 0.0
     for twice, exponent, derivative, stop in _ALTERNATING:
         signed = twice * exp(exponent * z * z)
         total += signed
@@ -122,7 +115,9 @@ def bridge_sup_quantile(p: float) -> float:
     u = exp(-2 z^2), by two fixed-point steps u = q + u^4 from
     q = (1 - p) / 2.  Below it, it inverts the first theta term,
     sqrt(2 pi) / z exp(-pi^2 / (8 z^2)) = p, which with w = pi^2 / (8 z^2)
-    reads w - ln(w) / 2 = ln(16 / pi) / 2 - ln p, by two Newton steps in w.
+    reads w - ln(w) / 2 = ln(16 / pi) / 2 - ln p, by two Newton steps in w;
+    below p = F(0.5) = 0.036 that term is F, and the start is the root but
+    for rounding.
     Either start lies in (0, hi]; above about p = 1 - 1e-5, where q^4 is
     lost next to q, it is hi, which is then the root to within rounding.
 

@@ -22,7 +22,8 @@ from meanbreak.asymptotics import (
 )
 from meanbreak.signals import SigmaSpec, TransitionSpec, ergodic_variance_limit, transition
 from referee import (GAMMAS, QUAD_MAX_GAMMA, adaptive, decimal_exponential_moments,
-                     decimal_logistic_moments, gauss, graded, layer_width)
+                     decimal_logistic_drift, decimal_logistic_moments, gauss, graded,
+                     layer_width)
 
 
 class TestDriftQuadrature:
@@ -211,6 +212,17 @@ class TestClosedForms:
                 exact = part - Decimal(tau) * whole
                 got = drift_closed_logistic(tau1, gamma, tau)
                 assert abs(Decimal(got) - exact) / (part + Decimal(tau) * whole) <= 1e-15, tau
+
+    @pytest.mark.parametrize("gamma", [g for g in GAMMAS if g < 1.0])
+    def test_logistic_small_slopes_relative_to_drift(self, gamma):
+        # Relative to T itself, below gamma = 1, where the integral of F - 1/2
+        # leaves no O(1) part to cancel: at most 7.1e-15 on this grid (the
+        # softplus difference reached 17.7 at gamma = 1e-15).
+        for tau1 in (0.05, 0.37, 0.5, 0.95):
+            for tau in np.linspace(0.05, 0.95, 19).tolist():
+                exact = decimal_logistic_drift(tau1, gamma, tau)
+                got = drift_closed_logistic(tau1, gamma, tau)
+                assert abs((Decimal(got) - exact) / exact) <= 8e-15, (tau1, tau)
 
     def test_exponential_drift_at_tiny_slope(self):
         # T = gamma / 64 - 3 gamma^2 / 2048 + O(gamma^3) here, from F = gamma

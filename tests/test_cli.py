@@ -3,16 +3,18 @@
 import codecs
 import csv
 import json
+import math
 import multiprocessing
 import os
 import signal
+import sys
 import time
 
 import numpy as np
 import pytest
 
 import meanbreak
-from meanbreak import cli, core, montecarlo, reader
+from meanbreak import cli, core, dist, montecarlo, reader
 from processes import assert_no_children, run_child
 
 
@@ -84,6 +86,60 @@ class TestUsage:
 
     def test_help_exits_zero(self, capsys):
         assert run_cli(capsys, "--help")[0] == 0
+
+
+def step_file(tmp_path, n):
+    """A returns file of n values, 1 up to floor(n/2) and 1000 after."""
+    f = tmp_path / f"step{n}.txt"
+    f.write_text("".join("1\n" if k < n // 2 else "1000\n" for k in range(n)))
+    return f
+
+
+class TestSmallestAttainablePValue:
+    # By Cauchy-Schwarz the statistic is at most sqrt(floor(n/2) ceil(n/2) / n).
+    TABLE = {2: "0.699", 3: "0.518", 4: "0.270", 5: "0.181", 6: "0.0996", 7: "0.0649",
+             8: "0.0366", 9: "0.0235", 10: "0.0135", 11: "0.0086", 12: "0.0050"}
+
+    @pytest.mark.parametrize("n", sorted(TABLE))
+    def test_json_min_p_value_is_p_value_of_the_bound(self, tmp_path, capsys, n):
+        code, out, _ = run_cli(capsys, "test", str(step_file(tmp_path, n)), "--format", "json")
+        doc = json.loads(out)
+        bound = math.sqrt(n // 2 * (n - n // 2) / n)
+        assert code == 0
+        assert doc["min_p_value"] == dist.p_value(bound)
+        shown = self.TABLE[n]
+        assert round(doc["min_p_value"], len(shown) - 2) == float(shown)
+        # The two-level step at floor(n/2) attains the bound.
+        assert doc["statistic"] == pytest.approx(bound, rel=1e-12, abs=0.0)
+
+    def test_short_sample_says_it_cannot_reject(self, tmp_path, capsys):
+        code, out, err = run_cli(capsys, "test", str(step_file(tmp_path, 6)))
+        assert (code, err) == (0, "")
+        assert out.splitlines()[-2:] == [
+            "decision:    fail to reject no-change at alpha=0.05",
+            "note:        no p-value below 0.0995618 is attainable with n = 6",
+        ]
+
+    def test_line_follows_alpha(self, tmp_path, capsys):
+        # n = 12 can reject at 5% but not at 0.1%.
+        f = str(step_file(tmp_path, 12))
+        assert "note:" not in run_cli(capsys, "test", f)[1]
+        out = run_cli(capsys, "test", f, "--alpha", "0.001")[1]
+        assert out.splitlines()[-1] == (
+            "note:        no p-value below 0.0049575 is attainable with n = 12")
+
+    def test_sixty_rows_print_no_line(self, tmp_path, capsys):
+        f = tmp_path / "small.csv"
+        f.write_text("date,y\n" + "".join(f"d{k},{k * 37 % 11}\n" for k in range(1, 61)))
+        code, out, _ = run_cli(capsys, "test", str(f), "--column", "y")
+        assert code == 0 and "fail to reject" in out
+        assert "note:" not in out and "attainable" not in out
+
+    def test_below_the_smallest_normal_float_json_reads_zero(self, tmp_path, capsys):
+        # The bound is 19 here, whose p is subnormal: p_value's rule reads 0.0.
+        assert 0.0 < dist.p_value(19.0) < sys.float_info.min
+        out = run_cli(capsys, "test", str(step_file(tmp_path, 1444)), "--format", "json")[1]
+        assert json.loads(out)["min_p_value"] == 0.0
 
 
 class TestCmdTest:

@@ -121,6 +121,15 @@ class TestCdf:
             got, expected = dist._cdf(z, density=True), written_out(z, density=True)
             assert [v.hex() for v in got] == [v.hex() for v in expected], z
 
+    def test_same_bits_as_written_out_below_half(self):
+        # The floats just below 0.5, where the theta series' second term is
+        # nearest half an ulp of F' (0.82 of one at the float below 0.5).
+        z = 0.5
+        for _ in range(100_000):
+            z = math.nextafter(z, 0.0)
+            got, expected = dist._cdf(z, density=True), written_out(z, density=True)
+            assert [v.hex() for v in got] == [v.hex() for v in expected], z
+
     def test_tiny_z_is_essentially_zero(self):
         assert bridge_sup_cdf(0.001) == 0.0
         assert bridge_sup_cdf(0.1) < 1e-40
@@ -152,22 +161,28 @@ class TestCdf:
 
 
 def terms_added(z):
-    """The terms the written-out walk adds, with its tolerance checks."""
+    """The terms F adds: the first theta term below 0.5, and the terms the
+    written-out alternating walk adds, with its tolerance checks."""
     if z < 0.04:
         return 0
     if z < 0.5:
-        factor = math.sqrt(2.0 * math.pi) / z
-        for k in range(1, 101):
-            if factor * math.exp(-((2 * k - 1) ** 2 * math.pi**2 / (8.0 * z * z))) < 1e-15:
-                return k
+        return 1
     for k in range(1, 101):
         if 2.0 * math.exp(-2.0 * (k + 1) ** 2 * z * z) < 1e-15:
             return k
 
 
+def theta_terms(z, k):
+    """Theta term k and its derivative, sqrt(2 pi) / z exp(-a / z^2) and
+    that times (2 a / z^2 - 1) / z, with a = (2k - 1)^2 pi^2 / 8."""
+    exponent = (2 * k - 1) ** 2 * math.pi**2 / (8.0 * z * z)
+    term = math.sqrt(2.0 * math.pi) / z * math.exp(-exponent)
+    return term, term * (2.0 * exponent - 1.0) / z
+
+
 class TestWalks:
-    """Each walk stops at a precomputed point, computes no term it does not
-    add, and ends inside its table."""
+    """The alternating walk stops at a precomputed point, computes no term it
+    does not add, and ends inside its table; below 0.5 F is one term."""
 
     def test_stops_are_the_tolerance_boundaries(self):
         # Term k's stop is where the walk, written with its tolerance check,
@@ -189,14 +204,24 @@ class TestWalks:
         # and z = 0.5 reaches it.
         stops = [entry[-1] for entry in dist._ALTERNATING]
         assert stops[-1] <= 0.5 < stops[-2]
-        # The theta terms rise with z below 0.5, and at its float below the
-        # last is under the tolerance while the one before it is not.
-        z = math.nextafter(0.5, 0.0)
-        factor = math.sqrt(2.0 * math.pi) / z
-        terms = [factor * math.exp(-(c / (8.0 * z * z))) for c in dist._THETA]
-        assert terms[-1] < dist._TRUNCATION_TOLERANCE <= terms[-2]
         for z in written_out_grid():
-            assert terms_added(z) <= len(dist._THETA if z < 0.5 else dist._ALTERNATING), z
+            if z >= 0.5:
+                assert terms_added(z) <= len(dist._ALTERNATING), z
+
+    def test_second_theta_term_is_below_half_an_ulp(self):
+        # Both theta terms are positive, so adding the second to the first
+        # rounds back to the first, in F and in F'.  Its share rises with z,
+        # to its largest at the float below 0.5.
+        below = math.nextafter(0.5, 0.0)
+        grid = np.linspace(0.04, 0.5, 20_001)[:-1].tolist()
+        for z in np.random.default_rng(41).uniform(0.04, 0.5, 20_000).tolist() + grid + [below]:
+            (cdf, slope), (term, derivative) = theta_terms(z, 1), theta_terms(z, 2)
+            # Doubled, which is exact, as half of a subnormal ulp rounds to 0.
+            assert 2.0 * term < math.ulp(cdf), z
+            assert 2.0 * derivative < math.ulp(slope), z
+        (cdf, slope), (term, derivative) = theta_terms(below, 1), theta_terms(below, 2)
+        assert 0.8 * math.ulp(slope) < 2.0 * derivative < 0.85 * math.ulp(slope)
+        assert dist._cdf(below, density=True) == (cdf, slope)
 
     @pytest.mark.parametrize("density", [False, True])
     def test_every_exp_is_an_added_term(self, monkeypatch, density):
@@ -204,7 +229,8 @@ class TestWalks:
         edges = stops + [math.nextafter(stop, 0.0) for stop in stops]
         calls = []
         monkeypatch.setattr(dist, "exp", lambda x: calls.append(x) or math.exp(x))
-        for z in written_out_grid()[::50] + edges:
+        theta = np.linspace(0.04, 0.5, 500).tolist()[:-1] + [math.nextafter(0.5, 0.0)]
+        for z in written_out_grid()[::50] + edges + theta:
             calls.clear()
             dist._cdf(z, density)
             assert len(calls) == terms_added(z), z
