@@ -85,8 +85,9 @@ def cmd_test(args) -> int:
     underflow = p_text.startswith("<")  # p is below what p_value resolves
     # By Cauchy-Schwarz the statistic is at most sqrt(floor(n/2) ceil(n/2) / n),
     # which a two-level step at floor(n/2) attains: no smaller p is attainable.
+    # Rounding can put the statistic just above the bound, hence the min.
     n = len(series)
-    min_p = dist.p_value(math.sqrt(n // 2 * (n - n // 2) / n))
+    min_p = min(dist.p_value(math.sqrt(n // 2 * (n - n // 2) / n)), outcome.p_value)
     if args.format == "json":
         doc = {
             "n": n,

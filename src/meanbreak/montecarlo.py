@@ -211,44 +211,30 @@ def _range_counts(config, bands, series, reps) -> np.ndarray:
     At each n, each distinct spec is built once for all of its cells:
     ``signals.mean_path(spec, n)``, or for a constant spec its level as a
     Python float, which broadcasts to the bits of the full path.  A size's
-    paths are dropped before the next size's are built.
+    paths are dropped before the next size's are built.  Replication r is
+    ``generate_series`` with seed (master_seed, key, n, r); each block of
+    ``signals.noise_blocks`` goes through the CUSUM kernel at once, so results
+    do not depend on how the replications are split.  A constant row's nan
+    statistic lies in no band: it never rejects and counts as degenerate.
     """
+    alphas = np.asarray(config.levels)
     rows = []
     for n in config.sample_sizes:
         paths = {spec: spec.levels[0] if spec.variant == "constant"
                  else signals.mean_path(spec, n)
                  for spec in dict.fromkeys(spec for _, _, *specs in series for spec in specs)}
         grid = np.arange(1, n + 1) / n
-        rows += [_cell_counts(config, bands, reps, key, paths[mean], paths[sigma], grid)
-                 for _, key, mean, sigma in series]
+        for _, key, mean, sigma in series:
+            counts = np.zeros(len(alphas) + 1, dtype=np.int64)
+            for y in signals.noise_blocks((config.master_seed, key, n), reps, n):
+                y *= paths[sigma]  # y = mu + sigma * eps, in place
+                y += paths[mean]
+                statistic = core._cusum_sup(y, grid)
+                counts[:-1] += _rejections(statistic, alphas, bands).sum(axis=0)
+                counts[-1] += np.isnan(statistic).sum()
+            rows.append(counts)
         del paths, grid
     return np.array(rows)
-
-
-def _cell_counts(config, bands, reps, key, mu, sigma, grid) -> np.ndarray:
-    """One (series, n) cell of :func:`_range_counts`, with its mean and
-    volatility paths ``mu`` and ``sigma`` and the k/n ``grid`` at n.
-
-    Replication r is ``generate_series`` with seed (master_seed, key, n, r);
-    each block of ``signals.noise_blocks`` goes through the CUSUM kernel
-    at once, so results do not depend on how the replications are split.
-    """
-    n = len(grid)
-    alphas = np.asarray(config.levels)
-    counts = np.zeros(len(alphas) + 1, dtype=np.int64)
-    for y in signals.noise_blocks((config.master_seed, key, n), reps, n):
-        y *= sigma  # y = mu + sigma * eps, in place
-        y += mu
-        statistic = core._cusum_sup(y, grid)
-        constant = np.isnan(statistic)
-        counts[:-1] += _rejections(statistic[~constant], alphas, bands).sum(axis=0)
-        counts[-1] += constant.sum()
-    return counts
-
-
-def _chunk_bounds(replications: int, workers: int) -> list[range]:
-    per = -(-replications // workers)
-    return [range(replications)[start:start + per] for start in range(0, replications, per)]
 
 
 def run_experiment(config: ExperimentConfig) -> RejectionTable:
@@ -260,7 +246,9 @@ def run_experiment(config: ExperimentConfig) -> RejectionTable:
     runs the first range in this process and each other one in a forked
     child; the count rows of the ranges are added up.
     """
-    ranges = _chunk_bounds(config.replications, min(config.workers, usable_cpus()))
+    per = -(-config.replications // min(config.workers, usable_cpus()))  # ceiling
+    ranges = [range(config.replications)[start:start + per]
+              for start in range(0, config.replications, per)]
     bands = _critical_bands(config.levels)
     series = [_resolve(entry) for entry in config.series]
     parts = fork_map(_range_counts, [(config, bands, series, reps) for reps in ranges],

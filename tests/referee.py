@@ -141,12 +141,23 @@ def decimal_logistic_moments(tau1: float, gamma: float, a: float, b: float):
         return (soft_b - soft_a) / g, (square_b - square_a) / g
 
 
-def decimal_logistic_drift(tau1: float, gamma: float, tau: float) -> Decimal:
-    """T(tau) = int_0^tau F - tau int_0^1 F of the logistic transition, the
-    difference taken in DIGITS digits: below gamma = 1 its two terms, each
-    about tau / 2, cancel to about gamma tau (tau - 1) / 8."""
-    whole = decimal_logistic_moments(tau1, gamma, 0.0, 1.0)[0]
-    part = decimal_logistic_moments(tau1, gamma, 0.0, tau)[0]
+def _decimal_drift(moments, tau1: float, gamma: float, tau: float) -> Decimal:
+    """T(tau) = int_0^tau F - tau int_0^1 F from a decimal ``moments``
+    referee, the difference taken in DIGITS digits."""
+    whole = moments(tau1, gamma, 0.0, 1.0)[0]
+    part = moments(tau1, gamma, 0.0, tau)[0]
     with localcontext() as context:
         context.prec = DIGITS
         return part - Decimal(tau) * whole
+
+
+def decimal_logistic_drift(tau1: float, gamma: float, tau: float) -> Decimal:
+    """T(tau) of the logistic transition: below gamma = 1 its two terms, each
+    about tau / 2, cancel to about gamma tau (tau - 1) / 8."""
+    return _decimal_drift(decimal_logistic_moments, tau1, gamma, tau)
+
+
+def decimal_exponential_drift(tau1: float, gamma: float, tau: float) -> Decimal:
+    """T(tau) of the exponential transition, from the erf forms of
+    ``decimal_exponential_moments``."""
+    return _decimal_drift(decimal_exponential_moments, tau1, gamma, tau)

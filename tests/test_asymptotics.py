@@ -21,9 +21,9 @@ from meanbreak.asymptotics import (
     wn_path,
 )
 from meanbreak.signals import SigmaSpec, TransitionSpec, ergodic_variance_limit, transition
-from referee import (GAMMAS, QUAD_MAX_GAMMA, adaptive, decimal_exponential_moments,
-                     decimal_logistic_drift, decimal_logistic_moments, gauss, graded,
-                     layer_width)
+from referee import (GAMMAS, QUAD_MAX_GAMMA, adaptive, decimal_exponential_drift,
+                     decimal_exponential_moments, decimal_logistic_drift,
+                     decimal_logistic_moments, gauss, graded, layer_width)
 
 
 class TestDriftQuadrature:
@@ -190,12 +190,13 @@ class TestClosedForms:
     @pytest.mark.parametrize("gamma", [1e-15, 1e-12, 1e-8, 1e-4, 1e-2, 0.1, 0.5, 0.999])
     def test_exponential_small_slopes_against_decimal(self, gamma):
         # Relative to |int_0^tau F| + tau |int_0^1 F|, the size of the two
-        # terms whose difference T is: at most 2.1e-15 on this grid.
+        # terms whose difference T is: at most 2.1e-15 on this grid, with T
+        # from the referee, which takes that difference in its own digits.
         for tau1 in (0.05, 0.37, 0.5, 0.95):
             whole = decimal_exponential_moments(tau1, gamma, 0.0, 1.0)[0]
             for tau in np.linspace(0.05, 0.95, 19).tolist():
                 part = decimal_exponential_moments(tau1, gamma, 0.0, tau)[0]
-                exact = part - Decimal(tau) * whole
+                exact = decimal_exponential_drift(tau1, gamma, tau)
                 got = drift_closed_exponential(tau1, gamma, tau)
                 assert abs(Decimal(got) - exact) / (part + Decimal(tau) * whole) <= 4e-15, tau
 
@@ -209,7 +210,7 @@ class TestClosedForms:
             whole = decimal_logistic_moments(tau1, gamma, 0.0, 1.0)[0]
             for tau in np.linspace(0.05, 0.95, 19).tolist():
                 part = decimal_logistic_moments(tau1, gamma, 0.0, tau)[0]
-                exact = part - Decimal(tau) * whole
+                exact = decimal_logistic_drift(tau1, gamma, tau)
                 got = drift_closed_logistic(tau1, gamma, tau)
                 assert abs(Decimal(got) - exact) / (part + Decimal(tau) * whole) <= 1e-15, tau
 

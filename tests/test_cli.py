@@ -106,11 +106,20 @@ class TestSmallestAttainablePValue:
         doc = json.loads(out)
         bound = math.sqrt(n // 2 * (n - n // 2) / n)
         assert code == 0
-        assert doc["min_p_value"] == dist.p_value(bound)
+        # The statistic can round to just above the bound (n = 5).
+        assert doc["min_p_value"] == min(dist.p_value(bound), doc["p_value"])
         shown = self.TABLE[n]
         assert round(doc["min_p_value"], len(shown) - 2) == float(shown)
         # The two-level step at floor(n/2) attains the bound.
         assert doc["statistic"] == pytest.approx(bound, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("n", sorted(TABLE))
+    def test_json_min_p_value_is_at_most_p_value(self, tmp_path, capsys, n):
+        # At n = 5 the statistic 1.0954451150103324 exceeds the bound
+        # sqrt(6/5) = 1.0954451150103321 by rounding.
+        doc = json.loads(run_cli(capsys, "test", str(step_file(tmp_path, n)),
+                                 "--format", "json")[1])
+        assert doc["p_value"] >= doc["min_p_value"]
 
     def test_short_sample_says_it_cannot_reject(self, tmp_path, capsys):
         code, out, err = run_cli(capsys, "test", str(step_file(tmp_path, 6)))

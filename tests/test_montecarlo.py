@@ -12,6 +12,7 @@ import re
 import signal
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -446,6 +447,34 @@ class TestBatchedEngine:
         assert table.degenerate == {("flat", 30): 20, ("Series 1", 30): 0}
         assert all(table.cells[("flat", 30, alpha)] == 0 for alpha in config.levels)
 
+    def test_block_mixing_constant_rows(self, monkeypatch):
+        # 1 + 1e-16 eps rounds to 1 where -0.56 < eps < 1.11, so at these
+        # sizes one block holds constant rows, whose statistic is nan, beside
+        # others: each nan counts once as degenerate, and the rest are
+        # tallied as p_value(s) < alpha.
+        label = "nearly flat"
+        design = (label, MeanSpec.constant(1.0), SigmaSpec.constant(1e-16))
+        config = ExperimentConfig(series=(design,), sample_sizes=(2, 3, 5),
+                                  levels=(0.05, 0.6, 0.9), replications=200)
+        cusum_sup, blocks = core._cusum_sup, {}
+
+        def kernel(y, grid):
+            blocks.setdefault(len(grid), []).append(cusum_sup(y, grid))
+            return blocks[len(grid)][-1]
+
+        monkeypatch.setattr(core, "_cusum_sup", kernel)
+        table = run_experiment(config)
+        assert sorted(blocks) == [2, 3, 5]
+        for n, statistics in blocks.items():
+            assert all(0 < np.isnan(s).sum() < len(s) for s in statistics)
+            statistic = np.concatenate(statistics)
+            constant = np.isnan(statistic)
+            assert table.degenerate[(label, n)] == constant.sum()
+            for alpha in config.levels:
+                want = sum(dist.p_value(s) < alpha for s in statistic[~constant])
+                assert table.cells[(label, n, alpha)] == want
+        assert table.cells[(label, 2, 0.9)] > 0  # finite rows do reject
+
 
 class TestPathTable:
     def test_each_distinct_path_built_once_per_size(self, monkeypatch):
@@ -560,6 +589,20 @@ class TestThresholdTally:
         statistic = np.concatenate([np.linspace(0.0, 10.0, 2001), np.nextafter(edge, [0.0, 9.0])])
         reference = np.array([[dist.p_value(s) < alpha] for s in statistic])
         np.testing.assert_array_equal(montecarlo._rejections(statistic, alphas, bands), reference)
+
+    def test_nan_statistics_never_reject(self, bands):
+        # The engine passes a constant row's nan statistic to the tally: it
+        # lies in no band, so its row is all False, with no warning.
+        finite = np.concatenate([np.linspace(0.0, 8.0, 4001), bands.ravel()])
+        statistic = np.insert(finite, np.arange(0, len(finite) + 1, 7), np.nan)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            reject = montecarlo._rejections(statistic, self.ALPHAS, bands)
+            alone = montecarlo._rejections(np.full(3, np.nan), self.ALPHAS, bands)
+        nan = np.isnan(statistic)
+        assert not reject[nan].any() and not alone.any()
+        np.testing.assert_array_equal(
+            reject[~nan], montecarlo._rejections(finite, self.ALPHAS, bands))
 
 
 class TestEmitTable:
