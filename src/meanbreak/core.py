@@ -138,6 +138,16 @@ def _estimates(series):
     return d, np.sqrt(sigma2), exponent, mu_hat, sigma2_hat
 
 
+def _bridge(d: np.ndarray, grid: np.ndarray, scratch=None) -> np.ndarray:
+    """Overwrite each row of centred values with S_k - (k/n) S_n on ``grid``
+    = k/n, k = 1..n (the last entry zero by construction), and return each
+    row's largest |.|.  Division by a positive number is monotone under
+    rounding, so the scaled largest is the scaled path's largest exactly."""
+    np.cumsum(d, axis=1, out=d)
+    d -= np.multiply(grid, d[:, -1:], out=scratch)
+    return np.maximum(d.max(axis=1), -d.min(axis=1))
+
+
 def _cusum(series):
     """Normalized CUSUM statistic of one series of at least two observations.
 
@@ -151,46 +161,36 @@ def _cusum(series):
             "series is constant (zero variance); the test statistic is undefined"
         )
     n = d.shape[1]
-    # Partial sums of centered values, then the exact-cancellation form
-    # S_k - (k/n) S_n: the endpoint is zero by construction, not by luck.
-    s = np.empty(n + 1)
-    s[0] = 0.0
-    np.cumsum(d[0], out=s[1:])
-    del d  # freed before the path is allocated: it lowers the peak memory
-    points = (np.arange(n + 1) / n) * s[n]
-    np.subtract(s, points, out=points)
-    points /= math.sqrt(n) * sigma[0]
-    abs_points = np.abs(points, out=s)
-    k = int(abs_points.argmax())  # first occurrence
-    return (float(abs_points[k]), k, mu_hat, sigma2_hat,
+    largest = _bridge(d, np.arange(1, n + 1) / n)[0]
+    scale = math.sqrt(n) * sigma[0]
+    points = np.zeros(n + 1)
+    np.divide(d[0], scale, out=points[1:])
+    k = int(np.abs(points).argmax())  # first occurrence
+    return (float(largest / scale), k, mu_hat, sigma2_hat,
             float(np.ldexp(sigma, exponent)[0]), points)
 
 
 def _cusum_sup(y: np.ndarray, grid: np.ndarray) -> np.ndarray:
     """The :func:`_cusum` statistic of each row of a (rows x n) float64
-    array to within a few ulps, nan on constant rows, computed in ``y``,
-    which it overwrites.  ``grid`` is k/n for k = 1..n; a caller with many
-    blocks of one n builds it once.
+    array, nan on constant rows, computed in ``y``, which it overwrites.
+    ``grid`` is k/n for k = 1..n; a caller with many blocks of one n builds
+    it once.
 
-    The Monte Carlo engine owns its blocks and needs only the statistic, so
-    this skips the path array, the break index and the estimates.  The sum
-    of squares is numpy's pairwise sum, not ``np.vecdot``: vecdot calls BLAS
-    ``ddot``, which above about 10,000 values wakes OpenBLAS helper threads
-    that keep spinning after the call, oversubscribing the worker processes,
-    and whose bits depend on the thread count.  The two reductions differ by
-    a few ulps, and so do the two statistics.  ``_cusum`` keeps vecdot
-    because the ``cli_test`` benchmark golden pins its bits; a change that
-    regenerates that golden can move it to this reduction and end the split.
+    Both kernels share :func:`_bridge` and differ only in sigma_hat's sum of
+    squares.  Here it is numpy's pairwise sum, not ``np.vecdot``: vecdot
+    calls BLAS ``ddot``, which above about 10,000 values wakes OpenBLAS
+    helper threads that keep spinning after the call, oversubscribing the
+    worker processes, and whose bits depend on the thread count.  The two
+    sums differ by a few ulps, the statistics by at most 4 ulps in the
+    tests.  ``_cusum`` keeps vecdot because the ``cli_test`` benchmark
+    golden pins its bits; a change that regenerates that golden can move it
+    to this sum.
     """
     n = y.shape[1]
     d = _centred_rows(y, out=y)[0]
     scratch = np.square(d)
     sigma = np.sqrt(scratch.sum(axis=1) / n)
-    np.cumsum(d, axis=1, out=d)
-    d -= np.multiply(grid, d[:, -1:], out=scratch)
-    # Division by a positive number is monotone under rounding, so scaling
-    # the largest |S_k - (k/n) S_n| gives the largest scaled value exactly.
-    largest = np.maximum(d.max(axis=1), -d.min(axis=1))
+    largest = _bridge(d, grid, scratch)
     with np.errstate(invalid="ignore"):  # a constant row is all zeros: 0 / 0
         return largest / (math.sqrt(n) * sigma)
 

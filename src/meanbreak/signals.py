@@ -189,6 +189,20 @@ def mean_path(spec: _PathSpec, n: int) -> np.ndarray:
 sigma_path = mean_path
 
 
+def _logistic_square_tail(z: float) -> float:
+    """log1p(u) - u / (1 + u) at u = e^z, an antiderivative in z of F^2 =
+    (u / (1 + u))^2, which cancels down to u^2 / 2 where u is small, by its
+    series sum_{k>=2} (-1)^k (k - 1) u^k / k, summed until it stops changing."""
+    u = math.exp(z)
+    power, k, total = u * u, 2, 0.0  # power: (-1)^k u^k
+    while True:
+        total_next = total + (k - 1) * power / k
+        if total_next == total:
+            return total
+        total, k = total_next, k + 1
+        power *= -u
+
+
 def _logistic_moments(tau1: float, gamma: float, a: float, b: float):
     """int_a^b F and int_a^b F^2 of the logistic transition: int F =
     softplus(gamma (x - tau1)) / gamma, and F' = gamma F (1 - F) gives
@@ -198,21 +212,31 @@ def _logistic_moments(tau1: float, gamma: float, a: float, b: float):
     So where gamma and gamma |b - a| are below 1 (every interval the library
     integrates), both come from g = expm1(gamma (b - a)), which lies in
     (-0.64, 1.72) there: int F = log1p(F(a) g) / gamma and F(b) - F(a) =
-    F(a) (1 - F(b)) g, where 1 - F(b) is the logistic at -gamma (b - tau1)."""
+    F(a) (1 - F(b)) g, where 1 - F(b) is the logistic at -gamma (b - tau1).
+
+    int F - F / gamma subtracts two terms of about e^z / gamma to leave
+    about e^(2z) / (2 gamma), so its relative error grows as 1e-16 e^(-z).
+    Where z < -13 at both ends (beyond every interval the library
+    integrates), int F^2 is the difference of ``_logistic_square_tail``
+    over gamma instead; int F keeps its form."""
+    z_a, z_b = gamma * (a - tau1), gamma * (b - tau1)
     if gamma < 1.0 and gamma * abs(b - a) < 1.0:
         g = math.expm1(gamma * (b - a))
-        f_a = 1.0 / (1.0 + _exp_or_inf(-gamma * (a - tau1)))
+        f_a = 1.0 / (1.0 + _exp_or_inf(-z_a))
         m1 = math.log1p(f_a * g) / gamma
-        return m1, m1 - f_a * g / (1.0 + _exp_or_inf(gamma * (b - tau1))) / gamma
-    ends = []
-    for x in (a, b):
-        z = gamma * (x - tau1)
-        e = math.exp(-abs(z))
-        soft = (0.0 if z < 0.0 else z) + math.log1p(e)
-        ends.append((soft, (1.0 if z >= 0.0 else e) / (1.0 + e)))
-    (soft_a, f_a), (soft_b, f_b) = ends
-    m1 = (soft_b - soft_a) / gamma
-    return m1, m1 - (f_b - f_a) / gamma
+        m2 = m1 - f_a * g / (1.0 + _exp_or_inf(z_b)) / gamma
+    else:
+        ends = []
+        for z in (z_a, z_b):
+            e = math.exp(-abs(z))
+            soft = (0.0 if z < 0.0 else z) + math.log1p(e)
+            ends.append((soft, (1.0 if z >= 0.0 else e) / (1.0 + e)))
+        (soft_a, f_a), (soft_b, f_b) = ends
+        m1 = (soft_b - soft_a) / gamma
+        m2 = m1 - (f_b - f_a) / gamma
+    if max(z_a, z_b) < -13.0:
+        m2 = (_logistic_square_tail(z_b) - _logistic_square_tail(z_a)) / gamma
+    return m1, m2
 
 
 def _exponential_series(x: float):

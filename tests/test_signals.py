@@ -413,10 +413,9 @@ class TestTransitionMoments:
     # smallest normal float counts against that float.  int F: at most
     # 8.1e-14 relative, from the rounding of gamma (x - tau1) where F ~ e^z
     # is far below 1/2 (gamma = 1e3).  int F^2 = int F - (F(b) - F(a)) /
-    # gamma: at most 1.9e-15 of int F, the size of its two terms.  Its own
-    # relative error is not bounded where F is small: 1.3e-6 at gamma = 20
-    # on [-6, -1], and it reads 0.0 for 3.3e-36 (gamma = 20, tau1 = 0.95)
-    # and for 5.6e-282 (gamma = 1e3 on [0, 0.05]).
+    # gamma: at most 1.9e-15 of int F, the size of its two terms.  Where z <
+    # -13 at both ends int F^2 is its own series, within 4.5e-14 relative
+    # (gamma = 1e3, z = -350), again from the rounding of z.
     @pytest.mark.parametrize("gamma", GAMMAS)
     def test_logistic_against_decimal(self, gamma):
         unit = [(0.0, t) for t in np.linspace(0.05, 1.0, 20).tolist()]
@@ -428,6 +427,17 @@ class TestTransitionMoments:
                 scale = max(want1, tiny)
                 assert abs(Decimal(m1) - want1) / scale <= 1e-13, (tau1, a, b)
                 assert abs(Decimal(m2) - want2) / scale <= 2e-15, (tau1, a, b)
+                if gamma * (max(a, b) - tau1) < -13.0:
+                    assert abs(Decimal(m2) - want2) / max(want2, tiny) <= 1e-13, (tau1, a, b)
+
+    # int F - (F(b) - F(a)) / gamma read 3.9682859e-26 for 3.9682808e-26
+    # (1.3e-6 relative) in the first case, and 0.0 in the other two.
+    @pytest.mark.parametrize("tau1, gamma, a, b", [
+        (0.37, 20.0, -6.0, -1.0), (0.95, 20.0, -6.0, -1.0), (0.37, 1e3, 0.0, 0.05)])
+    def test_logistic_square_integral_where_f_is_small(self, tau1, gamma, a, b):
+        m2 = signals._logistic_moments(tau1, gamma, a, b)[1]
+        want2 = decimal_logistic_moments(tau1, gamma, a, b)[1]
+        assert abs(Decimal(m2) - want2) / want2 <= 2e-14
 
     def test_exponential_square_integral_positive_at_tiny_slope(self):
         # The erf form gave int F^2 = -2.8e-17 here.  F = gamma u^2 + O(gamma^2)
