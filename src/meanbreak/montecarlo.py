@@ -202,33 +202,48 @@ def _rejections(statistic: np.ndarray, alphas: np.ndarray, bands: np.ndarray) ->
     return reject
 
 
+def _path_segments(spec, n: int) -> list:
+    """``spec`` at size n as the engine applies it: ``signals._segments``, in
+    which a constant spec is its level, a Python float, and a smooth one its
+    ``signals.mean_path`` array.  A step spec is its level segments at n >=
+    ``signals._BLOCK_ELEMENTS``, where a block is one row and a path row
+    would be memory the kernel does not need.  Below that a block has many
+    rows, and one multiply by a path row is faster than a strided op per
+    segment, so the step is one segment, its path."""
+    if spec.variant == "step" and n < signals._BLOCK_ELEMENTS:
+        return [(0, n, signals.mean_path(spec, n))]
+    return signals._segments(spec, n)
+
+
 def _range_counts(config, bands, series, reps) -> np.ndarray:
     """Per (n, series) cell of ``config``, n-major, over the replications
     ``reps``: one int64 row of the rejections per level, then the degenerate
     count.  ``bands`` are ``_critical_bands(config.levels)``, and ``series``
     holds the (label, key, MeanSpec, SigmaSpec) of each ``config.series`` entry.
 
-    At each n, each distinct spec is built once for all of its cells:
-    ``signals.mean_path(spec, n)``, or for a constant spec its level as a
-    Python float, which broadcasts to the bits of the full path.  A size's
-    paths are dropped before the next size's are built.  Replication r is
-    ``generate_series`` with seed (master_seed, key, n, r); each block of
-    ``signals.noise_blocks`` goes through the CUSUM kernel at once, so results
-    do not depend on how the replications are split.  A constant row's nan
-    statistic lies in no band: it never rejects and counts as degenerate.
+    At each n, each distinct spec is made ready once for all of its cells,
+    as ``_path_segments``, and the grid k/n is built in place.  Segments
+    give the bits of the full path.  At n >= 2**14 a process then holds 5n
+    doubles: the grid, the noise row, the kernel's scratch row and one array
+    per smooth spec.  A size's paths are dropped before the next size's are
+    built.  Replication r is ``generate_series`` with seed (master_seed,
+    key, n, r); each block of ``signals.noise_blocks`` goes through the
+    CUSUM kernel at once, so results do not depend on how the replications
+    are split.  A constant row's nan statistic lies in no band: it never
+    rejects and counts as degenerate.
     """
     alphas = np.asarray(config.levels)
     rows = []
     for n in config.sample_sizes:
-        paths = {spec: spec.levels[0] if spec.variant == "constant"
-                 else signals.mean_path(spec, n)
+        paths = {spec: _path_segments(spec, n)
                  for spec in dict.fromkeys(spec for _, _, *specs in series for spec in specs)}
-        grid = np.arange(1, n + 1) / n
+        grid = np.arange(1, n + 1, dtype=np.float64)
+        grid /= n
         for _, key, mean, sigma in series:
             counts = np.zeros(len(alphas) + 1, dtype=np.int64)
             for y in signals.noise_blocks((config.master_seed, key, n), reps, n):
-                y *= paths[sigma]  # y = mu + sigma * eps, in place
-                y += paths[mean]
+                signals._apply(np.multiply, y, paths[sigma])  # y = mu + sigma * eps, in place
+                signals._apply(np.add, y, paths[mean])
                 statistic = core._cusum_sup(y, grid)
                 counts[:-1] += _rejections(statistic, alphas, bands).sum(axis=0)
                 counts[-1] += np.isnan(statistic).sum()

@@ -70,7 +70,7 @@ def transition(spec: TransitionSpec, x):
 
     Logistic: 1 / (1 + exp(-gamma (x - tau1))).
     Exponential: 1 - exp(-gamma (x - tau1)^2).
-    Both are evaluated in overflow-safe form.
+    Both are evaluated in overflow-safe form, in a copy of x.
 
     The logistic is the formula scipy's ``expit`` evaluates, on libm ``exp``
     (``math.exp``) for every element, 0 where ``exp`` overflows.  numpy's own
@@ -79,19 +79,26 @@ def transition(spec: TransitionSpec, x):
     whose ``** 2`` is C ``pow``; a longer array squares by multiplication
     (numpy's fast ``** 2``), which rounds differently.
     """
-    arr = np.asarray(x, dtype=np.float64)
+    out = _transition(spec, np.array(x, dtype=np.float64, order="C"))
+    return float(out) if np.isscalar(x) else out
+
+
+def _transition(spec: TransitionSpec, arr: np.ndarray) -> np.ndarray:
+    """:func:`transition` of a C-contiguous float64 array, which it may
+    overwrite.  The logistic runs its exponent in ``arr`` and its 1 / (1 +
+    e) in the array of ``exp`` values: two path-sized arrays at most."""
     if spec.family == "logistic":
+        arr -= spec.tau1
+        arr *= -spec.gamma
         # A memoryview yields the Python floats math.exp takes, with no list.
-        w = memoryview((-spec.gamma * (arr - spec.tau1)).ravel())
+        w = memoryview(arr.ravel())
         try:
             e = np.fromiter(map(math.exp, w), np.float64, len(w))
         except OverflowError:
             e = np.fromiter(map(_exp_or_inf, w), np.float64, len(w))
-        e += 1.0  # 1 / (1 + e) in place: no further path-sized array
-        out = np.divide(1.0, e, out=e).reshape(arr.shape)
-    else:
-        out = -np.expm1(-spec.gamma * (arr - spec.tau1) ** 2)
-    return float(out) if np.isscalar(x) else out
+        e += 1.0
+        return np.divide(1.0, e, out=e).reshape(arr.shape)
+    return -np.expm1(-spec.gamma * (arr - spec.tau1) ** 2)
 
 
 @dataclass(frozen=True)
@@ -166,24 +173,41 @@ class SigmaSpec(_PathSpec):
         return cls(variant="constant", levels=(sigma,))
 
 
+def _segments(spec: _PathSpec, n: int) -> list:
+    """The path of ``spec`` at t = 1..n as segments (start, stop, level): t =
+    start + 1..stop, the slice ``y[start:stop]``, holds ``level``.  A
+    constant or step spec gives one per regime with its level as a float; a
+    step's regime j ends at the integer part [fraction_j * n] (a break closes
+    a regime), nudged so that e.g. (2/3) * 3 floors to 2, and breaks that
+    floor alike leave empty segments.  A smooth spec is one segment, whose
+    level is its :func:`mean_path` array."""
+    if spec.variant == "smooth":
+        return [(0, n, mean_path(spec, n))]
+    edges = [0, *(math.floor(f * n + _FLOOR_NUDGE) for f in spec.fractions), n]
+    return list(zip(edges, edges[1:], spec.levels))
+
+
 def mean_path(spec: _PathSpec, n: int) -> np.ndarray:
     """Mean or volatility (``sigma_path`` is this function) at t = 1..n; step
-    boundaries follow the integer-part convention, smooth paths evaluate the
-    transition at x = t/n (right endpoint included).  ``n`` is an integer
-    (anything else raises ``TypeError``)."""
+    boundaries follow the integer-part convention of ``_segments``, smooth
+    paths evaluate the transition at x = t/n (right endpoint included).
+    ``n`` is an integer (anything else raises ``TypeError``).
+
+    A constant or step path is its levels repeated over their segments: the
+    path is the one array built.  A smooth path builds t/n in place and runs
+    the transition in it, so a logistic one peaks at two path-sized arrays."""
     n = operator.index(n)
     if n < 1:
         raise ValueError("n must be positive")
-    if spec.variant == "constant":
-        return np.full(n, spec.levels[0])
-    if spec.variant == "step":
-        # Level j where t exceeds j of the integer parts [fraction * n] (a
-        # break closes a regime), nudged so that e.g. (2/3) * 3 floors to 2.
-        breaks = np.floor(np.asarray(spec.fractions) * n + _FLOOR_NUDGE).astype(np.int64)
-        idx = np.searchsorted(breaks, np.arange(1, n + 1), side="left")
-        return np.asarray(spec.levels, dtype=np.float64)[idx]
+    if spec.variant != "smooth":
+        return np.repeat(spec.levels, [stop - start for start, stop, _ in _segments(spec, n)])
+    path = np.arange(1, n + 1, dtype=np.float64)
+    path /= n
+    path = _transition(spec.transition, path)
     lo, hi = spec.levels
-    return lo + (hi - lo) * transition(spec.transition, np.arange(1, n + 1) / n)
+    path *= hi - lo  # lo + (hi - lo) * F, in place
+    path += lo
+    return path
 
 
 sigma_path = mean_path
@@ -441,7 +465,22 @@ def noise_blocks(prefix, reps: range, n: int):
             yield out
 
 
+def _apply(op, y: np.ndarray, segments) -> None:
+    """``op(y, path, out=y)`` along the last axis of ``y``, one (start, stop,
+    level) segment of the path at a time, where a level is a float or an
+    array of the segment's width.  Each element meets its own level, so the
+    bits are those of the full path."""
+    for start, stop, level in segments:
+        part = y[..., start:stop]
+        op(part, level, out=part)
+
+
 def generate_series(mean: MeanSpec, sigma: SigmaSpec, n: int, seed) -> np.ndarray:
-    """Synthesize y_t = mu_t + sigma_t * eps_t for t = 1..n."""
+    """Synthesize y_t = mu_t + sigma_t * eps_t for t = 1..n, in the array of
+    eps: ``eps *= sigma``, then ``eps += mu``, which rounds as mu + sigma *
+    eps.  A constant or step path is applied as its level segments, and only
+    a smooth one is built."""
     eps = gaussian_stream(seed, n)
-    return mean_path(mean, n) + sigma_path(sigma, n) * eps
+    _apply(np.multiply, eps, _segments(sigma, n))
+    _apply(np.add, eps, _segments(mean, n))
+    return eps

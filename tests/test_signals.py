@@ -63,6 +63,17 @@ class TestTransition:
         assert np.all((exponential >= 0.0) & (exponential <= 1.0))
 
     @pytest.mark.parametrize("family", ["logistic", "exponential"])
+    @pytest.mark.parametrize("x", [
+        np.linspace(-0.5, 1.5, 101), np.linspace(0.0, 1.0, 12).reshape(3, 4)[:, ::2],
+        np.array(0.25),
+    ], ids=["1-D", "strided", "0-d"])
+    def test_leaves_its_argument_unchanged(self, family, x):
+        # The transition runs in an array of its own, not in its argument.
+        before = x.copy()
+        got = transition(TransitionSpec(family, 0.4, 9.0), x)
+        assert x.tobytes() == before.tobytes() and got is not x
+
+    @pytest.mark.parametrize("family", ["logistic", "exponential"])
     def test_float_input_same_bits_as_array_arithmetic(self, family):
         # A 0-d array runs the array path with numpy-scalar arithmetic, where
         # ``** 2`` is C pow; an array of one element would square by
@@ -203,11 +214,13 @@ class TestMeanPath:
 
     @pytest.mark.parametrize("spec, arrays", [
         (MeanSpec.constant(1.5), 1.5),
-        (montecarlo.preset(5)[0], 3.5),
-    ], ids=["constant", "step"])
+        (montecarlo.preset(5)[0], 1.5),
+        (montecarlo.preset(9)[1], 2.5),
+    ], ids=["constant", "step", "smooth"])
     def test_peak_memory(self, spec, arrays):
-        # A constant path is its one array; a step path needs t and the
-        # level index besides, but not the grid t / n.
+        # A constant or step path is its one array, its levels repeated over
+        # their segments; a smooth path builds t / n in place and runs the
+        # transition in it, so only the array of exp values comes beside it.
         n = 100_000
         tracemalloc.start()
         try:
@@ -216,6 +229,31 @@ class TestMeanPath:
         finally:
             tracemalloc.stop()
         assert peak < arrays * 8 * n
+
+    @staticmethod
+    def searchsorted_step(spec, n):
+        # The step rule as it was written before segments: level j where t
+        # exceeds j of the nudged integer parts.
+        breaks = np.floor(np.asarray(spec.fractions) * n + signals._FLOOR_NUDGE).astype(np.int64)
+        return np.asarray(spec.levels)[np.searchsorted(breaks, np.arange(1, n + 1), side="left")]
+
+    @pytest.mark.parametrize("fractions, n, segments", [
+        ((0.01, 0.02), 30, [(0, 0, 1.0), (0, 0, -2.0), (0, 30, 3.5)]),
+        ((1 / 3, 2 / 3), 3, [(0, 1, 1.0), (1, 2, -2.0), (2, 3, 3.5)]),
+        ((0.5, 0.5 + 1e-6), 2**14, [(0, 8192, 1.0), (8192, 8192, -2.0), (8192, 16384, 3.5)]),
+    ], ids=["zero-breaks", "thirds", "equal-breaks"])
+    def test_step_segments(self, fractions, n, segments):
+        # Fractions that floor to equal or zero breaks leave empty segments,
+        # and (2/3) * 3 floors to 2; the path repeats each level over its
+        # segment, as the search over the breaks placed it.
+        spec = MeanSpec.step((1.0, -2.0, 3.5), fractions)
+        assert signals._segments(spec, n) == segments
+        assert mean_path(spec, n).tobytes() == self.searchsorted_step(spec, n).tobytes()
+
+    def test_four_regimes_equal_the_search_over_breaks(self):
+        spec = SigmaSpec.step((0.5, 2.0, 1.0, 3.0), (0.1, 0.3, 0.9))
+        for n in (*PATH_SIZES, 1, 2, 3, 2**14 - 1, 2**14):
+            assert mean_path(spec, n).tobytes() == self.searchsorted_step(spec, n).tobytes()
 
     @pytest.mark.parametrize("built, written", [
         (MeanSpec("constant", (1,)), MeanSpec.constant(1.0)),
@@ -586,6 +624,30 @@ class TestGenerateSeries:
         y = generate_series(mean, sigma, 1000, 2024)
         assert y[:666].var() == pytest.approx(0.5, abs=0.08)
         assert y[666:].var() == pytest.approx(1.5, abs=0.35)
+
+    @pytest.mark.parametrize("n", [1, 30, 100_000])
+    def test_same_bits_as_the_path_formula(self, n):
+        # In place, eps *= sigma and then eps += mu round as mu + sigma * eps.
+        for series in montecarlo.PRESET_IDS:
+            mean, sigma = montecarlo.preset(series)
+            seed = (3, series, n)
+            want = mean_path(mean, n) + sigma_path(sigma, n) * gaussian_stream(seed, n)
+            assert generate_series(mean, sigma, n, seed).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("series", [3, 5, 9])
+    def test_peak_memory(self, series):
+        # The noise array, and the two arrays of a smooth path while it is
+        # built; a step path is its segments, and no product or sum is
+        # built beside the noise.
+        n = 100_000
+        generate_series(*montecarlo.preset(series), 30, 1)  # first-call allocations
+        tracemalloc.start()
+        try:
+            generate_series(*montecarlo.preset(series), n, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.5 * 8 * n
 
     def test_mean_over_replications(self):
         spec = MeanSpec.smooth(1.0, 2.0, TransitionSpec("logistic", 0.5, 20.0))
