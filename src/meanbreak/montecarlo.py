@@ -202,19 +202,6 @@ def _rejections(statistic: np.ndarray, alphas: np.ndarray, bands: np.ndarray) ->
     return reject
 
 
-def _path_segments(spec, n: int) -> list:
-    """``spec`` at size n as the engine applies it: ``signals._segments``, in
-    which a constant spec is its level, a Python float, and a smooth one its
-    ``signals.mean_path`` array.  A step spec is its level segments at n >=
-    ``signals._BLOCK_ELEMENTS``, where a block is one row and a path row
-    would be memory the kernel does not need.  Below that a block has many
-    rows, and one multiply by a path row is faster than a strided op per
-    segment, so the step is one segment, its path."""
-    if spec.variant == "step" and n < signals._BLOCK_ELEMENTS:
-        return [(0, n, signals.mean_path(spec, n))]
-    return signals._segments(spec, n)
-
-
 def _range_counts(config, bands, series, reps) -> np.ndarray:
     """Per (n, series) cell of ``config``, n-major, over the replications
     ``reps``: one int64 row of the rejections per level, then the degenerate
@@ -222,20 +209,22 @@ def _range_counts(config, bands, series, reps) -> np.ndarray:
     holds the (label, key, MeanSpec, SigmaSpec) of each ``config.series`` entry.
 
     At each n, each distinct spec is made ready once for all of its cells,
-    as ``_path_segments``, and the grid k/n is built in place.  Segments
-    give the bits of the full path.  At n >= 2**14 a process then holds 5n
-    doubles: the grid, the noise row, the kernel's scratch row and one array
-    per smooth spec.  A size's paths are dropped before the next size's are
-    built.  Replication r is ``generate_series`` with seed (master_seed,
-    key, n, r); each block of ``signals.noise_blocks`` goes through the
-    CUSUM kernel at once, so results do not depend on how the replications
-    are split.  A constant row's nan statistic lies in no band: it never
-    rejects and counts as degenerate.
+    as ``signals._segments``: a constant or step spec is its level segments
+    and only a smooth one is an array.  Segments give the bits of the full
+    path.  The grid k/n is built in place.  Where a block is one row (n >
+    2**13) a process then holds 5n doubles: the grid, the noise row, the
+    kernel's scratch row and one array per smooth spec.  A size's paths are
+    dropped before the next size's are built.  Replication r is
+    ``generate_series`` with seed (master_seed, key, n, r); each block of
+    ``signals.noise_blocks`` goes through the CUSUM kernel at once, so
+    results do not depend on how the replications are split.  A constant
+    row's nan statistic lies in no band: it never rejects and counts as
+    degenerate.
     """
     alphas = np.asarray(config.levels)
     rows = []
     for n in config.sample_sizes:
-        paths = {spec: _path_segments(spec, n)
+        paths = {spec: signals._segments(spec, n)
                  for spec in dict.fromkeys(spec for _, _, *specs in series for spec in specs)}
         grid = np.arange(1, n + 1, dtype=np.float64)
         grid /= n

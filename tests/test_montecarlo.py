@@ -478,10 +478,9 @@ class TestBatchedEngine:
 
 class TestPathTable:
     def test_each_distinct_path_built_once_per_size(self, monkeypatch):
-        # Every smooth spec is built as an array once per size.  A step spec
-        # is built too below 2**14, where a block has many rows, and applied
-        # as level segments from there on, where a block is one row.  A
-        # constant spec is never built.
+        # Every smooth spec is built as an array once per size.  A step or
+        # constant spec is never built: it is applied as its level
+        # segments, in blocks of many rows (n = 30) and of one row.
         built = []
         mean_path = signals.mean_path
         for name in ("mean_path", "sigma_path"):
@@ -489,7 +488,7 @@ class TestPathTable:
                                 lambda spec, n: built.append((spec, n)) or mean_path(spec, n))
         edge = signals._BLOCK_ELEMENTS
         config = ExperimentConfig(series=tuple(range(1, 10)),
-                                  sample_sizes=(30, edge - 1, edge, 100_000),
+                                  sample_sizes=(30, edge // 2 + 1, edge, 100_000),
                                   replications=2, workers=1)
         run_experiment(config)
         specs = {spec for series_id in range(1, 10) for spec in preset(series_id)}
@@ -497,7 +496,6 @@ class TestPathTable:
                       for variant in ("step", "smooth")}
         assert len(by_variant["step"]) == len(by_variant["smooth"]) == 2
         want = [(spec, n) for n in config.sample_sizes for spec in by_variant["smooth"]]
-        want += [(spec, n) for n in (30, edge - 1) for spec in by_variant["step"]]
         assert sorted(built, key=repr) == sorted(want, key=repr)
 
     def test_paths_dropped_between_sizes(self):
@@ -518,9 +516,9 @@ class TestPathTable:
         assert peak((n, n + 1)) < 1.1 * peak((n,))
 
     def test_peak_memory_at_large_n(self):
-        # At n >= 2**14 a process holds the grid, the noise row, the
-        # kernel's scratch row and the two smooth paths: 5n doubles, where
-        # step paths built as arrays would make it 7n.
+        # Where a block is one row, a process holds the grid, the noise
+        # row, the kernel's scratch row and the two smooth paths: 5n
+        # doubles, where step paths built as arrays would make it 7n.
         run_experiment(SMALL)  # first-call allocations that stay
         n = 100_000
         config = ExperimentConfig(series=tuple(range(1, 10)), sample_sizes=(n,),
@@ -534,11 +532,12 @@ class TestPathTable:
         assert peak < 5.5 * 8 * n
 
     def test_paths_across_the_one_row_edge(self, monkeypatch):
-        # Below 2**14 a step spec is a path row, from there on its level
-        # segments, with breaks that floor to zero and to equal integers at
-        # these sizes; a constant spec is its level and a smooth one its
-        # array.  Each replication's statistic keeps the bits of the kernel
-        # on its generate_series row and the grid arange(1, n + 1) / n.
+        # A step spec is its level segments, with breaks that floor to
+        # zero and to equal integers at these sizes, a constant spec its
+        # level and a smooth one its array, in blocks of two rows (n =
+        # 2**13) and of one row (n > 2**13).  Each replication's statistic
+        # keeps the bits of the kernel on its generate_series row and the
+        # grid arange(1, n + 1) / n.
         designs = [
             ("step", MeanSpec.step((1.0, 5.0, -2.0, 3.0), (1e-6, 0.5, 0.5 + 1e-6)),
              SigmaSpec.step((0.5, 2.0, 1.0), (0.3, 0.9))),
@@ -547,8 +546,8 @@ class TestPathTable:
             ("constant", MeanSpec.constant(-3.5), SigmaSpec.constant(2.5)),
         ]
         edge = signals._BLOCK_ELEMENTS
-        config = ExperimentConfig(series=designs, sample_sizes=(edge - 1, edge, edge + 1),
-                                  replications=3, master_seed=5)
+        config = ExperimentConfig(series=designs, sample_sizes=(
+            edge // 2, edge // 2 + 1, edge - 1, edge, edge + 1), replications=3, master_seed=5)
         cusum_sup, statistics = core._cusum_sup, []
         monkeypatch.setattr(core, "_cusum_sup", lambda y, grid: statistics.append(
             cusum_sup(y, grid)) or statistics[-1])
@@ -560,8 +559,9 @@ class TestPathTable:
             for _, key, mean, sigma in map(montecarlo._resolve, designs):
                 for r in range(config.replications):
                     y = generate_series(mean, sigma, n, (config.master_seed, key, n, r))
-                    want.append(core._cusum_sup(y[None, :], grid).tobytes())
-        assert [statistic.tobytes() for statistic in statistics] == want
+                    want.append(core._cusum_sup(y[None, :], grid))
+        assert [len(statistic) for statistic in statistics] == [2, 1] * 3 + [1] * 36
+        assert np.concatenate(statistics).tobytes() == np.concatenate(want).tobytes()
 
     def test_each_series_entry_resolved_once(self, monkeypatch):
         config = ExperimentConfig(series=(2, 7, ("own", MeanSpec.constant(0.5),
