@@ -4,9 +4,10 @@ and the normalized partial-sum process used for FCLT diagnostics.
 
 The drift function is T(tau) = int_0^tau F - tau * int_0^1 F for a transition
 F.  The drift and the limiting variances are closed forms, from the
-antiderivatives of F and F^2 in ``signals``.  ``drift_quadrature`` integrates
-T numerically, on a graded Gauss-Legendre rule, as an independent check of
-the closed forms.
+antiderivatives of F and F^2 in ``signals``; the drift keeps int_0^1 F per
+transition.  ``drift_quadrature`` integrates T numerically, on a graded
+Gauss-Legendre rule whose nodes and weights are recorded constants, as an
+independent check of the closed forms.  The module loads numpy alone.
 """
 
 from __future__ import annotations
@@ -33,8 +34,23 @@ __all__ = [
     "wn_path",
 ]
 
-_NODES, _WEIGHTS = np.polynomial.legendre.leggauss(20)
-_NODES = _NODES.tolist()  # Python floats: see _gauss
+# The 20-node Gauss-Legendre rule, as np.polynomial.legendre.leggauss(20)
+# gives it (numpy 2.4, x86-64 Linux): its ten negative nodes, ascending, and
+# their weights.  leggauss symmetrises its rule, so the positive half mirrors
+# them bit for bit.  Recorded, the rule loads no numpy.polynomial, runs no
+# LAPACK eigvalsh at import, and keeps its bits on any LAPACK build.
+_HALF_NODES = [float.fromhex(h) for h in (
+    "-0x1.fc7b5a0c71ce1p-1", "-0x1.ed8dba7bd769fp-1", "-0x1.d31064173fd92p-1",
+    "-0x1.ada0bd5efd6e7p-1", "-0x1.7e1f37346a54ep-1", "-0x1.45a8d3fa710dbp-1",
+    "-0x1.05905c13f7ff7p-1", "-0x1.7eaccf15652c4p-2", "-0x1.d281636928bc0p-3",
+    "-0x1.3973df98b86b0p-4")]
+_HALF_WEIGHTS = [float.fromhex(h) for h in (
+    "0x1.209680274e74ep-6", "0x1.4c9b5ea53b638p-5", "0x1.00b467df7e461p-4",
+    "0x1.5519fe196e247p-4", "0x1.a1817a317a834p-4", "0x1.e41ff31573b56p-4",
+    "0x1.0db2c5db26e08p-3", "0x1.230348f34a542p-3", "0x1.31819b52c59a4p-3",
+    "0x1.38d6c490a3380p-3")]
+_NODES = _HALF_NODES + [-x for x in reversed(_HALF_NODES)]  # Python floats: see _gauss
+_WEIGHTS = np.array(_HALF_WEIGHTS + _HALF_WEIGHTS[::-1])
 
 
 def _gauss(spec: TransitionSpec, a: float, b: float) -> float:
@@ -55,7 +71,7 @@ def _gauss(spec: TransitionSpec, a: float, b: float) -> float:
                       for u in _NODES]
     else:  # squared as d * d, as numpy squares an array
         values = -np.expm1([neg_gamma * ((d := mid + half * u - tau1) * d) for u in _NODES])
-    return half * float(_WEIGHTS @ np.asarray(values))
+    return half * float(np.dot(_WEIGHTS, values))
 
 
 def _graded_edges(centre: float, width: float, lo: float, hi: float) -> list[float]:
@@ -96,20 +112,29 @@ def drift_quadrature(spec: TransitionSpec, tau: float) -> float:
     return cumulative[i] + partial - tau * cumulative[-1]
 
 
-def _check_drift(tau1: float, gamma: float, tau: float) -> None:
-    """The domain checks of ``TransitionSpec`` and ``drift_quadrature``."""
+def _check_drift(tau1: float, gamma: float, tau: float) -> tuple[float, float, float]:
+    """The domain checks of ``TransitionSpec`` and ``drift_quadrature``;
+    returns the three as Python floats, as a spec stores them."""
     if not 0.0 < gamma < math.inf:
         raise ValueError(f"gamma must be positive and finite, got {gamma}")
     if not 0.0 < tau1 < 1.0:
         raise ValueError(f"tau1 must lie in (0, 1), got {tau1}")
     if not 0.0 <= tau <= 1.0:
         raise ValueError(f"tau must lie in [0, 1], got {tau}")
+    return float(tau1), float(gamma), float(tau)
+
+
+@functools.lru_cache(maxsize=256)
+def _whole_interval(moments, tau1: float, gamma: float) -> float:
+    """int_0^1 F, once per transition, as ``_panels`` keeps the quadrature's
+    panel sums: a drift grid then evaluates one antiderivative per tau."""
+    return moments(tau1, gamma, 0.0, 1.0)[0]
 
 
 def _closed_drift(moments, tau1: float, gamma: float, tau: float) -> float:
     """T(tau) from the transition's ``moments``, after the domain checks."""
-    _check_drift(tau1, gamma, tau)
-    return moments(tau1, gamma, 0.0, tau)[0] - tau * moments(tau1, gamma, 0.0, 1.0)[0]
+    tau1, gamma, tau = _check_drift(tau1, gamma, tau)
+    return moments(tau1, gamma, 0.0, tau)[0] - tau * _whole_interval(moments, tau1, gamma)
 
 
 def drift_closed_logistic(tau1: float, gamma: float, tau: float) -> float:
@@ -124,7 +149,7 @@ def drift_closed_logistic(tau1: float, gamma: float, tau: float) -> float:
     """
     if not gamma < 1.0:
         return _closed_drift(signals._logistic_moments, tau1, gamma, tau)
-    _check_drift(tau1, gamma, tau)
+    tau1, gamma, tau = _check_drift(tau1, gamma, tau)
     at_0, at_tau, at_1 = (math.log1p(2.0 * math.sinh(0.25 * gamma * (x - tau1)) ** 2)
                           for x in (0.0, tau, 1.0))
     return (at_tau - at_0 - tau * (at_1 - at_0)) / gamma

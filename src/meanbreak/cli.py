@@ -182,7 +182,7 @@ def cmd_simulate(args) -> int:
 def _print_diagnostics(config: montecarlo.ExperimentConfig) -> None:
     """Empirical vs limiting variance of the partial-sum process at a few
     sample fractions, for each simulated volatility spec."""
-    from meanbreak import asymptotics  # loads numpy.polynomial, which no other command needs
+    from meanbreak import asymptotics  # deferred: no other command needs the module
 
     taus = (0.25, 0.5, 0.75)
     n = max(config.sample_sizes)

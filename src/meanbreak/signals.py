@@ -86,7 +86,10 @@ def transition(spec: TransitionSpec, x):
 def _transition(spec: TransitionSpec, arr: np.ndarray) -> np.ndarray:
     """:func:`transition` of a C-contiguous float64 array, which it may
     overwrite.  The logistic runs its exponent in ``arr`` and its 1 / (1 +
-    e) in the array of ``exp`` values: two path-sized arrays at most."""
+    e) in the array of ``exp`` values: two path-sized arrays at most.  The
+    exponential runs in ``arr`` alone, in the operation order of -expm1(-gamma
+    (arr - tau1) ** 2); a 0-d array keeps that expression, whose ``** 2`` on
+    a numpy scalar is C pow, where ``np.square`` multiplies."""
     if spec.family == "logistic":
         arr -= spec.tau1
         arr *= -spec.gamma
@@ -98,7 +101,13 @@ def _transition(spec: TransitionSpec, arr: np.ndarray) -> np.ndarray:
             e = np.fromiter(map(_exp_or_inf, w), np.float64, len(w))
         e += 1.0
         return np.divide(1.0, e, out=e).reshape(arr.shape)
-    return -np.expm1(-spec.gamma * (arr - spec.tau1) ** 2)
+    if arr.ndim == 0:
+        return -np.expm1(-spec.gamma * (arr - spec.tau1) ** 2)
+    arr -= spec.tau1
+    np.square(arr, out=arr)
+    arr *= -spec.gamma
+    np.expm1(arr, out=arr)
+    return np.negative(arr, out=arr)
 
 
 @dataclass(frozen=True)
@@ -195,7 +204,8 @@ def mean_path(spec: _PathSpec, n: int) -> np.ndarray:
 
     A constant or step path is its levels repeated over their segments: the
     path is the one array built.  A smooth path builds t/n in place and runs
-    the transition in it, so a logistic one peaks at two path-sized arrays."""
+    the transition in it, so a logistic one peaks at two path-sized arrays
+    and an exponential one at one."""
     n = operator.index(n)
     if n < 1:
         raise ValueError("n must be positive")

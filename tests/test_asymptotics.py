@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from meanbreak import asymptotics
+from meanbreak import asymptotics, signals
 from meanbreak.asymptotics import (
     drift_closed_exponential,
     drift_closed_logistic,
@@ -21,9 +21,35 @@ from meanbreak.asymptotics import (
     wn_path,
 )
 from meanbreak.signals import SigmaSpec, TransitionSpec, ergodic_variance_limit, transition
+from processes import run_child
 from referee import (GAMMAS, QUAD_MAX_GAMMA, adaptive, decimal_exponential_drift,
                      decimal_exponential_moments, decimal_logistic_drift,
                      decimal_logistic_moments, gauss, graded, layer_width)
+
+
+class TestRecordedRule:
+    def test_import_loads_no_numpy_polynomial(self):
+        code = ("import sys, meanbreak.asymptotics; "
+                "print(sorted(m for m in sys.modules if m.startswith('numpy.polynomial')))")
+        assert run_child(code) == "[]"
+
+    def test_rule_is_symmetric(self):
+        nodes, weights = asymptotics._NODES, asymptotics._WEIGHTS.tolist()
+        assert len(nodes) == len(weights) == 20
+        assert all(type(x) is float for x in nodes)
+        assert -1.0 < nodes[0] and nodes == sorted(nodes)
+        assert nodes == [-x for x in reversed(nodes)]
+        assert weights == weights[::-1]
+        assert math.fsum(weights) == pytest.approx(2.0, rel=20 * 2**-53, abs=0.0)
+
+    def test_rule_is_leggauss(self):
+        # Bit for bit on the machine that recorded the rule; within one ulp
+        # wherever LAPACK's eigvalsh rounds differently.
+        ref_nodes, ref_weights = np.polynomial.legendre.leggauss(20)
+        for got, ref in ((np.asarray(asymptotics._NODES), ref_nodes),
+                         (asymptotics._WEIGHTS, ref_weights)):
+            assert got.dtype == np.float64
+            assert np.all(np.abs(got - ref) <= np.spacing(np.abs(ref)))
 
 
 class TestDriftQuadrature:
@@ -232,6 +258,44 @@ class TestClosedForms:
         for gamma in (1e-15, 1e-8):
             got = drift_closed_exponential(0.5, gamma, 0.25)
             assert got == pytest.approx(gamma / 64 - 3 * gamma**2 / 2048, rel=1e-14, abs=0.0)
+
+    def test_whole_interval_integrated_once(self, monkeypatch):
+        # int_0^1 F is kept per transition: a 99-point drift grid evaluates
+        # it once, also for numpy-scalar arguments equal to the floats.
+        moments, spans = signals._exponential_moments, []
+
+        def counting_moments(tau1, gamma, a, b):
+            spans.append((a, b))
+            return moments(tau1, gamma, a, b)
+
+        monkeypatch.setattr(signals, "_exponential_moments", counting_moments)
+        grid = np.linspace(0.01, 0.99, 99).tolist()
+        first = [drift_closed_exponential(0.35, 40.0, t).hex() for t in grid]
+        assert [drift_closed_exponential(np.float64(0.35), np.int64(40), t).hex()
+                for t in grid] == first
+        assert spans.count((0.0, 1.0)) == 1 and len(spans) == 2 * 99 + 1
+
+    @pytest.mark.parametrize("family", ["logistic", "exponential"])
+    def test_kept_whole_interval_same_bits(self, family):
+        # Each value is the uncached T(tau) = int_0^tau F - tau int_0^1 F,
+        # bit for bit, and a Python float, for float and numpy-scalar
+        # arguments alike; the logistic takes this form from gamma = 1 on.
+        closed, moments = {
+            "logistic": (drift_closed_logistic, signals._logistic_moments),
+            "exponential": (drift_closed_exponential, signals._exponential_moments),
+        }[family]
+        rng = np.random.default_rng(39)
+        low = 1.0 if family == "logistic" else 1e-3
+        for _ in range(300):
+            tau1, tau = rng.uniform(0.05, 0.95), rng.uniform(0.0, 1.0)
+            gamma = math.exp(rng.uniform(math.log(low), math.log(1e6)))
+            for args in ((tau1, gamma, tau), (np.float64(tau1), np.float64(gamma), np.float64(tau)),
+                         (np.asarray(tau1), np.int64(max(1, round(gamma))), np.asarray(tau))):
+                t1, g, t = args
+                expected = moments(t1, g, 0.0, t)[0] - t * moments(t1, g, 0.0, 1.0)[0]
+                got = closed(*args)
+                assert type(got) is float
+                assert got.hex() == float(expected).hex(), args
 
     def test_nondegenerate_drift(self):
         grid = np.linspace(0.01, 0.99, 99)

@@ -94,6 +94,18 @@ class TestTransition:
                 assert type(got) is float
                 assert got.hex() == float(transition(spec, np.array(x))).hex()
 
+    @pytest.mark.parametrize("shape", [(1,), (1999,), (30, 7)], ids=["1", "1999", "2-D"])
+    def test_exponential_in_place_same_bits(self, shape):
+        # An array with one or more axes runs the exponential in place; it
+        # must give the bits of the expression it replaced.
+        rng = np.random.default_rng(39)
+        for _ in range(40):
+            spec = TransitionSpec("exponential", rng.uniform(0.05, 0.95),
+                                  math.exp(rng.uniform(math.log(0.5), math.log(1e6))))
+            x = rng.uniform(-0.5, 1.5, shape)
+            expected = -np.expm1(-spec.gamma * (x - spec.tau1) ** 2)
+            assert transition(spec, x).tobytes() == expected.tobytes()
+
     def test_float_logistic_same_bits_as_expit(self):
         # The float path is 1 / (1 + exp(-z)) on libm exp, as scipy's expit,
         # and 0.0 where math.exp overflows (z < -709.78).
@@ -216,11 +228,13 @@ class TestMeanPath:
         (MeanSpec.constant(1.5), 1.5),
         (montecarlo.preset(5)[0], 1.5),
         (montecarlo.preset(9)[1], 2.5),
-    ], ids=["constant", "step", "smooth"])
+        (MeanSpec.smooth(1.0, 2.0, TransitionSpec("exponential", 0.5, 20.0)), 1.5),
+    ], ids=["constant", "step", "smooth", "smooth-exponential"])
     def test_peak_memory(self, spec, arrays):
         # A constant or step path is its one array, its levels repeated over
         # their segments; a smooth path builds t / n in place and runs the
-        # transition in it, so only the array of exp values comes beside it.
+        # transition in it, so only the logistic's array of exp values comes
+        # beside it, and nothing beside the exponential.
         n = 100_000
         tracemalloc.start()
         try:
